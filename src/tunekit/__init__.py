@@ -5,8 +5,8 @@ evaluation cache and, optionally, each other's results. Includes a benchmark
 harness, an objective suite, and a worker-allocation simulator.
 """
 
-from .cache import EvalCache, canonical_key
-from .manager import Solver, TuningManager, report
+from .cache import canonical_key
+from .manager import Solver, TuningManager
 from .sampling import SampleRequest, lhs_design, lhs_sample, random_sample
 from .schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
 from .space import (
@@ -40,7 +40,6 @@ __all__ = [
     "CategoricalVariable",
     "ContinuousVariable",
     "CostModel",
-    "EvalCache",
     "EvaluationFailed",
     "IntegerVariable",
     "InvalidPointError",
@@ -63,6 +62,5 @@ __all__ = [
     "lhs_sample",
     "makespan",
     "random_sample",
-    "report",
     "validate_point",
 ]

@@ -1,17 +1,14 @@
-"""Deduplicating store of evaluated points keyed by rounded encoded coordinates.
+"""Point identity: the key under which evaluations are deduplicated.
 
-Two points collide iff their encoded coordinates agree after rounding to 12
-decimal digits. The first inserted record for a key wins; later inserts are
-rejected so every solver sees one consistent value per point. Insert and
-lookup are safe to call from concurrent evaluation workers.
+Two points are the same point iff their encoded coordinates agree after
+rounding to 12 decimal digits. The manager keys each asked point once and
+stores the key on its record; solvers read `TrialRecord.key` instead of
+keying again.
 """
 
 from __future__ import annotations
 
-import threading
-
 from .space import Point, SearchSpace, encode
-from .trials import TrialRecord
 
 KEY_DIGITS = 12
 
@@ -19,39 +16,5 @@ CacheKey = tuple[float, ...]
 
 
 def canonical_key(space: SearchSpace, p: Point) -> CacheKey:
+    """Key of a point; raises like encode() for an invalid point."""
     return tuple(round(c, KEY_DIGITS) for c in encode(space, p))
-
-
-class EvalCache:
-    def __init__(self, space: SearchSpace):
-        self._space = space
-        self._entries: dict[CacheKey, TrialRecord] = {}
-        self._lock = threading.Lock()
-
-    def key(self, p: Point) -> CacheKey:
-        return canonical_key(self._space, p)
-
-    def lookup(self, p: Point) -> TrialRecord | None:
-        return self._entries.get(self.key(p))
-
-    def lookup_key(self, key: CacheKey) -> TrialRecord | None:
-        return self._entries.get(key)
-
-    def insert(self, p: Point, record: TrialRecord) -> bool:
-        """Store record under the point's key; True iff the key was new."""
-        key = self.key(p)
-        with self._lock:
-            if key in self._entries:
-                return False
-            self._entries[key] = record
-            return True
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def size(self) -> int:
-        return len(self._entries)
-
-    def records(self) -> list[TrialRecord]:
-        """Stored records in insertion order."""
-        return list(self._entries.values())

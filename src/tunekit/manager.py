@@ -2,16 +2,18 @@
 acquire/evaluate/return loop with concurrent evaluation dispatch.
 
 Each iteration the manager collects asks from every live solver (round-robin,
-capped so the combined batch never exceeds the remaining budget), resolves
-cache hits without spending budget, evaluates the remaining unique points on
-up to K worker threads, and tells every solver its own records plus — for
-solvers registered with sharing — everyone else's. Batch results are sorted
-by eval_id before the tell, so the outcome is independent of completion order
-and therefore of K.
+capped so the combined batch never exceeds the remaining budget), keys each
+asked point once, resolves cache hits without spending budget, evaluates the
+remaining unique points on up to K worker threads, and tells every solver its
+own records plus — for solvers registered with sharing — everyone else's.
+Every record carries its point's key. Batch results are sorted by eval_id
+before the tell, so the outcome is independent of completion order and
+therefore of K.
 
-A solver whose ask or tell raises is isolated (marked done) without aborting
-the run. Objective exceptions become failed records carrying the penalty
-sentinel; they consume budget like any real evaluation.
+A solver whose ask, is_done or tell raises, or that asks for a point that is
+not valid in the space, is isolated (marked done) without aborting the run.
+Objective exceptions become failed records carrying the penalty sentinel;
+they consume budget like any real evaluation.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .cache import CacheKey, EvalCache
-from .space import Point, SearchSpace, validate_point
+from .cache import CacheKey, canonical_key
+from .space import Point, SearchSpace
 from .trials import (
     PENALTY_OBJECTIVE,
     STATUS_FAIL,
@@ -101,7 +103,7 @@ class TuningManager:
             raise RuntimeError("manager instances drive a single run")
         self._started = True
 
-        cache = EvalCache(self.space)
+        cache: dict[CacheKey, TrialRecord] = {}  # workers never touch it
         history = TuningHistory(self.space, seed=seed)
         eval_seq = 0
         iteration = 0
@@ -114,7 +116,7 @@ class TuningManager:
                     break
                 iteration += 1
 
-                asks = self._collect_asks(live, iteration, budget.max_evaluations - history.stats.evaluations, cache)
+                asks = self._collect_asks(live, iteration, budget.max_evaluations - history.stats.evaluations)
                 if not asks:
                     break  # every live solver declined to ask; nothing can progress
 
@@ -125,7 +127,8 @@ class TuningManager:
                 owners: dict[CacheKey, str] = {}
                 for reg, _, key in asks:
                     owners.setdefault(key, reg.solver.solver_id)
-                fresh = self._evaluate(pool, objective, new_points, owners, cache, iteration, eval_seq)
+                fresh = self._evaluate(pool, objective, new_points, owners, iteration, eval_seq)
+                cache.update(fresh)
                 eval_seq += len(fresh)
                 history.stats.evaluations += len(fresh)
                 history.records.extend(sorted(fresh.values(), key=lambda r: r.eval_id))
@@ -153,7 +156,6 @@ class TuningManager:
         live: list[_Registration],
         iteration: int,
         remaining: int,
-        cache: EvalCache,
     ) -> list[tuple[_Registration, Point, CacheKey]]:
         asks: list[tuple[_Registration, Point, CacheKey]] = []
         capacity = remaining
@@ -165,21 +167,16 @@ class TuningManager:
             if capacity <= 0:
                 break
             try:
-                points = reg.solver.ask(capacity)
+                points = list(reg.solver.ask(capacity))[:capacity]
+                keys = [canonical_key(self.space, p) for p in points]  # validates each point
             except Exception:
-                logger.exception("solver %s ask raised; isolating it", reg.solver.solver_id)
-                reg.done = True
-                continue
-            points = list(points)[:capacity]
-            bad = next((p for p in points if validate_point(self.space, p)), None)
-            if bad is not None:
-                logger.error(
-                    "solver %s asked invalid point %r; isolating it", reg.solver.solver_id, bad
+                logger.exception(
+                    "solver %s ask raised or asked an invalid point; isolating it", reg.solver.solver_id
                 )
                 reg.done = True
                 continue
-            reg.asked_keys = [cache.key(p) for p in points]
-            for p, key in zip(points, reg.asked_keys):
+            reg.asked_keys = keys
+            for p, key in zip(points, keys):
                 asks.append((reg, p, key))
             capacity -= len(points)
         return asks
@@ -187,13 +184,13 @@ class TuningManager:
     def _split_batch(
         self,
         asks: list[tuple[_Registration, Point, CacheKey]],
-        cache: EvalCache,
+        cache: dict[CacheKey, TrialRecord],
     ) -> tuple[dict[CacheKey, Point], dict[CacheKey, TrialRecord]]:
         """Partition asked points into first-seen new points and cache replays."""
         new_points: dict[CacheKey, Point] = {}
         replays: dict[CacheKey, TrialRecord] = {}
         for _, point, key in asks:
-            cached = cache.lookup_key(key)
+            cached = cache.get(key)
             if cached is not None:
                 replays[key] = cached
             elif key not in new_points:
@@ -206,11 +203,10 @@ class TuningManager:
         objective: Objective,
         new_points: dict[CacheKey, Point],
         owners: dict[CacheKey, str],
-        cache: EvalCache,
         iteration: int,
         eval_seq: int,
     ) -> dict[CacheKey, TrialRecord]:
-        def worker(point: Point, key: CacheKey, eval_id: int, solver_id: str) -> tuple[CacheKey, TrialRecord]:
+        def worker(point: Point, key: CacheKey, eval_id: int, solver_id: str) -> TrialRecord:
             start = time.perf_counter()
             try:
                 value = float(objective(point, eval_id))
@@ -221,9 +217,10 @@ class TuningManager:
                 value, status, reason = PENALTY_OBJECTIVE, STATUS_FAIL, exc.reason
             except Exception as exc:  # objective bugs are data, not crashes
                 value, status, reason = PENALTY_OBJECTIVE, STATUS_FAIL, f"exception:{type(exc).__name__}"
-            elapsed_ms = int((time.perf_counter() - start) * 1000)
-            record = TrialRecord(
+            elapsed_ms = (time.perf_counter() - start) * 1000
+            return TrialRecord(
                 point=point,
+                key=key,
                 objective=value,
                 status=status,
                 solver_id=solver_id,
@@ -232,14 +229,12 @@ class TuningManager:
                 wall_time_ms=elapsed_ms,
                 fail_reason=reason,
             )
-            cache.insert(point, record)
-            return key, record
 
         futures = [
             pool.submit(worker, point, key, eval_seq + i + 1, owners.get(key, "unknown"))
             for i, (key, point) in enumerate(new_points.items())
         ]
-        return dict(f.result() for f in futures)
+        return {rec.key: rec for rec in (f.result() for f in futures)}
 
     def _broadcast(
         self,
@@ -273,10 +268,3 @@ class TuningManager:
             except Exception:
                 logger.exception("solver %s tell raised; isolating it", reg.solver.solver_id)
                 reg.done = True
-
-
-def report(history: TuningHistory) -> dict:
-    """Run summary: best point/objective, status counts, per-solver best."""
-    if not history.records:
-        raise ValueError("cannot report on an empty history")
-    return history.summary()

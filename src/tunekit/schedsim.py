@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,8 @@ def best_allocation(
 def fit_cost_model(observations: list[tuple[int, float]]) -> tuple[CostModel, float]:
     """Nonnegative least-squares fit of (t_serial, c_comm, t_fixed) to
     (workers, time) measurements; returns (model, residual norm)."""
+    import scipy.optimize  # deferred: costs a fifth of a second on every import of tunekit
+
     if len(observations) < 3:
         raise ValueError(f"need at least 3 observations, got {len(observations)}")
     workers = [w for w, _ in observations]

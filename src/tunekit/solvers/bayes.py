@@ -21,7 +21,7 @@ import scipy.linalg
 from ..cache import CacheKey, canonical_key
 from ..manager import Solver
 from ..sampling import SampleRequest, lhs_sample
-from ..space import Point, SearchSpace, decode, encode
+from ..space import Point, SearchSpace, decode, encode, mixed_sqdist_matrix
 from ..trials import TrialRecord
 from .neldermead import nm_minimize
 
@@ -52,16 +52,6 @@ class BayesConfig:
             raise ValueError("batch must be >= 1 and restarts >= 0")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
-
-
-def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared mixed distance between encoded rows of a and b."""
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for i in space.numeric_indices:
-        out += (a[:, i, None] - b[None, :, i]) ** 2
-    for i in space.categorical_indices:
-        out += (a[:, i, None] != b[None, :, i]).astype(float)
-    return out
 
 
 def trim_records(records: Sequence[TrialRecord], cap: int) -> list[TrialRecord]:
@@ -159,9 +149,10 @@ def propose(
     rng: np.random.Generator,
     seen: set[CacheKey],
     restarts: int,
-) -> list[Point]:
-    """m best distinct unseen points under LCB over a fresh LHS candidate set,
-    the best candidates refined by simplex search on continuous channels."""
+) -> list[tuple[Point, CacheKey]]:
+    """m best distinct unseen points under LCB, with their keys, over a fresh
+    LHS candidate set, the best candidates refined by simplex search on
+    continuous channels."""
 
     def lcb_of(encoded: np.ndarray) -> float:
         mean, var = model.posterior_many(encoded[None, :])
@@ -193,14 +184,14 @@ def propose(
             merged[cont] = best_u
             pool.append((best_f, -restarts + extra, decode(space, merged)))
 
-    chosen: list[Point] = []
+    chosen: list[tuple[Point, CacheKey]] = []
     used: set[CacheKey] = set(seen)
     for _, _, point in sorted(pool, key=lambda t: (t[0], t[1])):
         key = canonical_key(space, point)
         if key in used:
             continue
         used.add(key)
-        chosen.append(point)
+        chosen.append((point, key))
         if len(chosen) >= m:
             break
     return chosen
@@ -237,14 +228,13 @@ class BayesSearch(Solver):
         )
         if not proposals:  # candidate set exhausted against seen points
             return self._lhs_points(m)
-        self._seen.update(canonical_key(self._space, p) for p in proposals)
-        return proposals
+        self._seen.update(key for _, key in proposals)
+        return [p for p, _ in proposals]
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:
-            key = canonical_key(self._space, rec.point)
-            self._records.setdefault(key, rec)
-            self._seen.add(key)
+            self._records.setdefault(rec.key, rec)
+            self._seen.add(rec.key)
 
     def is_done(self) -> bool:
         return False

@@ -217,8 +217,7 @@ class DirectSearch(Solver):
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:
-            key = canonical_key(self._space, rec.point)
-            for req in self._in_flight.pop(key, []):
+            for req in self._in_flight.pop(rec.key, []):
                 self._deliver(req, rec.objective)
 
     def _deliver(self, req: _Request, value: float) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from ..cache import CacheKey, canonical_key
 from ..manager import Solver
 from ..sampling import SampleRequest, lhs_sample
-from ..space import CategoricalVariable, Point, SearchSpace, decode, encode, encoded_distance
+from ..space import CategoricalVariable, Point, SearchSpace, decode, encode, mixed_sqdist_matrix
 from ..trials import TrialRecord
 
 
@@ -55,6 +55,7 @@ class HybridConfig:
 @dataclass(eq=False)
 class Member:
     point: Point
+    key: CacheKey
     encoded: np.ndarray
     objective: float
     delta: float
@@ -85,14 +86,10 @@ class _Generation:
 
 
 def nearest_neighbor_distances(space: SearchSpace, members: Sequence[Member]) -> list[float]:
-    dists = []
-    for i, m in enumerate(members):
-        best = np.inf
-        for j, other in enumerate(members):
-            if i != j:
-                best = min(best, encoded_distance(space, m.encoded, other.encoded))
-        dists.append(float(best))
-    return dists
+    encoded = np.stack([m.encoded for m in members])
+    sq = mixed_sqdist_matrix(space, encoded, encoded)
+    np.fill_diagonal(sq, np.inf)
+    return np.sqrt(sq.min(axis=1)).tolist()
 
 
 def pareto_front(objectives: Sequence[float], nn_dists: Sequence[float]) -> list[int]:
@@ -143,18 +140,18 @@ def select_centers(
     return chosen
 
 
-def poll_points(space: SearchSpace, member: Member) -> list[Point]:
+def poll_points(space: SearchSpace, member: Member) -> list[tuple[Point, CacheKey]]:
     """Compass points at +/- delta along each numeric channel, snapped into
-    bounds; points that snap onto the center are dropped."""
-    center_key = canonical_key(space, member.point)
+    bounds, with their keys; points that snap onto the center are dropped."""
     polls = []
     for i in space.numeric_indices:
         for sign in (+1.0, -1.0):
             coords = member.encoded.copy()
             coords[i] = coords[i] + sign * member.delta
             candidate = decode(space, coords)  # decode snaps out-of-bounds coords
-            if canonical_key(space, candidate) != center_key:
-                polls.append(candidate)
+            key = canonical_key(space, candidate)
+            if key != member.key:
+                polls.append((candidate, key))
     return polls
 
 
@@ -173,6 +170,7 @@ def growth_update(
     best = min(poll_records, key=lambda r: (r.objective, r.eval_id), default=None)
     if best is not None and best.objective < f_old - alpha * delta * delta:
         center.point = best.point
+        center.key = best.key
         center.encoded = encode(space, best.point)
         center.objective = best.objective
         center.eval_id = best.eval_id
@@ -253,8 +251,8 @@ class HybridSearch(Solver):
 
         candidates: list[tuple[Point, CacheKey, str, int]] = []
         for ci, center in enumerate(centers):
-            for p in poll_points(self._space, center):
-                candidates.append((p, canonical_key(self._space, p), "poll", ci))
+            for p, key in poll_points(self._space, center):
+                candidates.append((p, key, "poll", ci))
         for p in children:
             candidates.append((p, canonical_key(self._space, p), "child", -1))
 
@@ -280,7 +278,7 @@ class HybridSearch(Solver):
     def tell(self, records: Sequence[TrialRecord]) -> None:
         recmap: dict[CacheKey, TrialRecord] = {}
         for rec in records:
-            recmap.setdefault(canonical_key(self._space, rec.point), rec)
+            recmap.setdefault(rec.key, rec)
         if self._init_keys is not None and not self.population:
             self._absorb_init(recmap)
         elif self._generation is not None:
@@ -292,6 +290,7 @@ class HybridSearch(Solver):
     def _member_from(self, rec: TrialRecord) -> Member:
         return Member(
             point=rec.point,
+            key=rec.key,
             encoded=encode(self._space, rec.point),
             objective=rec.objective,
             delta=self.config.delta_init,
@@ -345,16 +344,15 @@ class HybridSearch(Solver):
         """A shared record better than the current worst member replaces it."""
         if not self.population:
             return
-        member_keys = {canonical_key(self._space, m.point) for m in self.population}
+        member_keys = {m.key for m in self.population}
         for rec in sorted(records, key=lambda r: r.eval_id):
-            key = canonical_key(self._space, rec.point)
-            if key in member_keys:
+            if rec.key in member_keys:
                 continue
             worst_i = max(range(len(self.population)), key=lambda i: self.population[i].rank_key())
             if rec.objective < self.population[worst_i].objective:
-                member_keys.discard(canonical_key(self._space, self.population[worst_i].point))
+                member_keys.discard(self.population[worst_i].key)
                 self.population[worst_i] = self._member_from(rec)
-                member_keys.add(key)
+                member_keys.add(rec.key)
 
     def is_done(self) -> bool:
         return False

@@ -169,13 +169,13 @@ def nm_minimize(
     x0: np.ndarray,
     edge: float = 0.1,
     max_iters: int = 200,
-    f_spread_tol: float = 0.0,
 ) -> tuple[np.ndarray, float, int]:
-    """Drive a SimplexSearch synchronously; returns (best_x, best_f, iterations)."""
+    """Drive a SimplexSearch synchronously until max_iters or until every
+    vertex holds the same value; returns (best_x, best_f, iterations)."""
     search = SimplexSearch(np.asarray(x0, dtype=float), edge=edge)
     while search.iterations < max_iters:
         search.advance([fn(x) for x in search.pending()])
-        if search.iterations > 0 and search.value_spread() <= f_spread_tol:
+        if search.iterations > 0 and search.value_spread() <= 0.0:
             break
     return search.best_x, search.best_f, search.iterations
 
@@ -220,7 +220,7 @@ class NelderMeadSolver(Solver):
         return unserved[:max_points]
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
-        by_key = {canonical_key(self._space, r.point): r.objective for r in records}
+        by_key = {r.key: r.objective for r in records}
         for i, (key, _) in enumerate(self._slots):
             if self._values[i] is None and key in by_key:
                 self._values[i] = by_key[key]

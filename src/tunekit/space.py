@@ -222,24 +222,19 @@ def decode(space: SearchSpace, coords: Sequence[float]) -> Point:
     return Point(values)
 
 
-def distance(space: SearchSpace, a: Point, b: Point) -> float:
-    """Mixed-variable metric: Euclidean on encoded numeric channels plus a 0/1
-    mismatch indicator per categorical channel."""
-    ea, eb = encode(space, a), encode(space, b)
-    total = 0.0
-    for i, var in enumerate(space.variables):
-        if isinstance(var, CategoricalVariable):
-            total += 0.0 if ea[i] == eb[i] else 1.0
-        else:
-            total += (ea[i] - eb[i]) ** 2
-    return math.sqrt(total)
-
-
-def encoded_distance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> float:
-    """Same metric as distance(), computed directly on encoded vectors."""
-    total = 0.0
+def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared mixed distance between encoded rows of a and b:
+    squared Euclidean on numeric channels plus a 0/1 mismatch per categorical
+    channel."""
+    out = np.zeros((a.shape[0], b.shape[0]))
     for i in space.numeric_indices:
-        total += (ea[i] - eb[i]) ** 2
+        out += (a[:, i, None] - b[None, :, i]) ** 2
     for i in space.categorical_indices:
-        total += 0.0 if ea[i] == eb[i] else 1.0
-    return math.sqrt(total)
+        out += (a[:, i, None] != b[None, :, i]).astype(float)
+    return out
+
+
+def distance(space: SearchSpace, a: Point, b: Point) -> float:
+    """Mixed-variable metric between two points (see mixed_sqdist_matrix)."""
+    sq = mixed_sqdist_matrix(space, encode(space, a)[None, :], encode(space, b)[None, :])
+    return math.sqrt(sq[0, 0])

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .cache import CacheKey
 from .space import Point, SearchSpace, Value
 
 PENALTY_OBJECTIVE: float = sys.float_info.max
@@ -31,13 +32,16 @@ class EvaluationFailed(Exception):
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One evaluated point; key is canonical_key(space, point)."""
+
     point: Point
+    key: CacheKey
     objective: float
     status: str
     solver_id: str
     iteration: int
     eval_id: int
-    wall_time_ms: int = 0
+    wall_time_ms: float = 0.0
     fail_reason: str | None = None
 
     def __post_init__(self) -> None:
@@ -114,9 +118,6 @@ class TuningHistory:
         if best is not None:
             self.best_by_iteration.append((iteration, best.objective))
 
-    def records_for_solver(self, solver_id: str) -> list[TrialRecord]:
-        return [r for r in self.records if r.solver_id == solver_id]
-
     def status_counts(self) -> dict[str, int]:
         counts = {STATUS_OK: 0, STATUS_FAIL: 0}
         for rec in self.records:
@@ -140,7 +141,7 @@ class TuningHistory:
         for rec in sorted(self.records, key=lambda r: r.eval_id):
             cells = [str(rec.eval_id), str(rec.iteration), rec.solver_id]
             cells += [_csv_cell(v) for v in rec.point.values]
-            cells += [repr(rec.objective), rec.status_label(), str(rec.wall_time_ms)]
+            cells += [repr(rec.objective), rec.status_label(), repr(rec.wall_time_ms)]
             lines.append(",".join(cells))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -8,8 +8,24 @@ import numpy as np
 
 from tunekit.manager import Solver
 from tunekit.solvers.bayes import GPModel
-from tunekit.space import Point, SearchSpace, encoded_distance
+from tunekit.space import Point, SearchSpace
 from tunekit.trials import TrialRecord
+
+
+def strip_wall_time(history_csv: str) -> str:
+    """A history.csv without its last column, wall_time_ms."""
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in history_csv.splitlines())
+
+
+def encoded_distance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> float:
+    """Plain scalar mixed metric on encoded vectors: Euclidean on numeric
+    channels plus a 0/1 mismatch per categorical channel."""
+    total = 0.0
+    for i in space.numeric_indices:
+        total += (ea[i] - eb[i]) ** 2
+    for i in space.categorical_indices:
+        total += 0.0 if ea[i] == eb[i] else 1.0
+    return math.sqrt(total)
 
 
 def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray):
@@ -29,6 +45,26 @@ def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray
     mu = model.prior_mean + k_star @ np.linalg.solve(a_mat, y_minus_m)
     var = sf2 - k_star @ np.linalg.solve(a_mat, k_star)
     return float(mu), max(float(var), 0.0)
+
+
+class ScriptedSolver(Solver):
+    """Asks a fixed script of point batches; records everything it is told."""
+
+    def __init__(self, batches: list[list[Point]]):
+        self._batches = list(batches)
+        self.told: list[TrialRecord] = []
+
+    def ask(self, max_points: int) -> list[Point]:
+        if not self._batches:
+            return []
+        batch = self._batches.pop(0)
+        return batch[:max_points]
+
+    def tell(self, records) -> None:
+        self.told.extend(records)
+
+    def is_done(self) -> bool:
+        return not self._batches
 
 
 class RecordingSolver(Solver):

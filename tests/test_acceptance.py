@@ -316,6 +316,7 @@ def test_criterion_10_gp_oracle_equivalence():
                 records.append(
                     TrialRecord(
                         point=p,
+                        key=canonical_key(mixed, p),
                         objective=float(rng.normal()),
                         status="ok",
                         solver_id="t",
@@ -340,7 +341,13 @@ def test_criterion_10_gp_oracle_equivalence():
         unit = box(1, 0.0, 1.0)
         recs = [
             TrialRecord(
-                point=Point([x]), objective=y, status="ok", solver_id="t", iteration=1, eval_id=i + 1
+                point=Point([x]),
+                key=canonical_key(unit, Point([x])),
+                objective=y,
+                status="ok",
+                solver_id="t",
+                iteration=1,
+                eval_id=i + 1,
             )
             for i, (x, y) in enumerate(zip((0.0, 0.5, 1.0), (2.5, -1.8, 1.2)))
         ]
@@ -353,7 +360,13 @@ def test_criterion_10_gp_oracle_equivalence():
         wide = SearchSpace([ContinuousVariable("x", 0.0, 1000.0)])
         recs = [
             TrialRecord(
-                point=Point([float(x)]), objective=y, status="ok", solver_id="t", iteration=1, eval_id=i + 1
+                point=Point([float(x)]),
+                key=canonical_key(wide, Point([float(x)])),
+                objective=y,
+                status="ok",
+                solver_id="t",
+                iteration=1,
+                eval_id=i + 1,
             )
             for i, (x, y) in enumerate(zip((0.0, 1.0), (5.0, 7.0)))
         ]

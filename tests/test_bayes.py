@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_posterior_oracle
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
@@ -26,7 +27,6 @@ from tunekit.space import (
     Point,
     SearchSpace,
     encode,
-    encoded_distance,
 )
 from tunekit.trials import Budget, TrialRecord
 
@@ -45,6 +45,7 @@ def rec(space: SearchSpace, values, objective: float, eval_id: int, ok: bool = T
 
     return TrialRecord(
         point=Point(values),
+        key=canonical_key(space, Point(values)),
         objective=objective if ok else PENALTY_OBJECTIVE,
         status="ok" if ok else "fail",
         solver_id="t",
@@ -52,28 +53,6 @@ def rec(space: SearchSpace, values, objective: float, eval_id: int, ok: bool = T
         eval_id=eval_id,
         fail_reason=None if ok else "x",
     )
-
-
-def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray):
-    """Straightforward dense rebuild of the GP equations (numpy solve, no
-    Cholesky reuse): mu = m + k*^T (K + jitter I)^-1 (y - m),
-    var = k(x,x) - k*^T (K + jitter I)^-1 k*."""
-    x_train = model.train_x
-    n = len(x_train)
-    sf2, ell = model.signal_var, model.length_scale
-
-    def kern(a, b):
-        return sf2 * math.exp(-encoded_distance(space, a, b) ** 2 / (2 * ell**2))
-
-    k_mat = np.array([[kern(x_train[i], x_train[j]) for j in range(n)] for i in range(n)])
-    a_mat = k_mat + model.jitter * np.eye(n)
-    y_centered = model._alpha  # not used; recompute y from alpha would cheat -- rebuild below
-    # rebuild the centered targets independently: alpha = A^-1 (y - m) so y - m = A alpha
-    y_minus_m = a_mat @ model._alpha
-    k_star = np.array([kern(query, x_train[i]) for i in range(n)])
-    mu = model.prior_mean + k_star @ np.linalg.solve(a_mat, y_minus_m)
-    var = sf2 - k_star @ np.linalg.solve(a_mat, k_star)
-    return float(mu), max(float(var), 0.0)
 
 
 # -- fit heuristics ------------------------------------------------------------
@@ -210,7 +189,7 @@ def test_kappa_zero_minimizes_posterior_mean():
     rng = np.random.default_rng(1)
     proposals = propose(model, UNIT1, 1, kappa=0.0, rng=rng, seen=set(), restarts=2)
     assert len(proposals) == 1
-    mu_star, _ = model.posterior(proposals[0])
+    mu_star, _ = model.posterior(proposals[0][0])
     grid = np.linspace(0, 1, 513)[:, None]
     mean_grid, _ = model.posterior_many(grid)
     assert mu_star <= float(mean_grid.min()) + 1e-6
@@ -223,11 +202,11 @@ def test_huge_kappa_explores_far_from_data():
     rng = np.random.default_rng(2)
     kappa = 1e6
     proposals = propose(model, space, 1, kappa=kappa, rng=rng, seen=set(), restarts=2)
-    x_star = float(proposals[0].values[0])
+    x_star = float(proposals[0][0].values[0])
     # sigma dominates: the proposal sits many length scales from the cluster
     assert min(abs(x_star - r.point.values[0]) for r in records) >= 10 * model.length_scale
     # LCB at the proposal is at least as low as at every raw grid candidate
-    mu_star, var_star = model.posterior(proposals[0])
+    mu_star, var_star = model.posterior(proposals[0][0])
     grid = np.linspace(0, 1, 257)[:, None]
     mu, var = model.posterior_many(grid)
     assert mu_star - kappa * math.sqrt(var_star) <= float(np.min(mu - kappa * np.sqrt(var))) + 1e-6
@@ -241,7 +220,9 @@ def test_proposal_avoids_seen_points():
     rng = np.random.default_rng(3)
     proposals = propose(model, UNIT1, 1, kappa=0.0, rng=rng, seen=seen, restarts=1)
     assert len(proposals) == 1
-    assert canonical_key(UNIT1, proposals[0]) not in seen
+    point, key = proposals[0]
+    assert key == canonical_key(UNIT1, point)
+    assert key not in seen
 
 
 # -- solver binding ---------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Dedup cache: canonical keys, first-writer-wins, and thread safety."""
+"""Point identity and dedup: canonical keys, records that carry them, first
+asker wins, and one evaluation per key at any concurrency."""
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from tunekit.cache import EvalCache, canonical_key
+from helpers import ScriptedSolver, counted
+from tunekit.cache import canonical_key
+from tunekit.manager import Solver, TuningManager
 from tunekit.space import (
     CategoricalVariable,
     ContinuousVariable,
@@ -15,7 +16,7 @@ from tunekit.space import (
     SearchSpace,
     decode,
 )
-from tunekit.trials import TrialRecord
+from tunekit.trials import Budget
 
 SPACE = SearchSpace(
     [
@@ -26,95 +27,82 @@ SPACE = SearchSpace(
 )
 
 
-def record(point: Point, objective: float, eval_id: int = 1) -> TrialRecord:
-    return TrialRecord(
-        point=point, objective=objective, status="ok", solver_id="s", iteration=1, eval_id=eval_id
-    )
+def objective(point: Point, eval_id: int) -> float:
+    x, k, c = point.values
+    return float(x) + k + ("a", "b").index(c)
+
+
+def run(solvers: list[Solver], budget: int = 1000, concurrency: int = 1):
+    manager = TuningManager(SPACE)
+    for solver in solvers:
+        manager.register_solver(solver)
+    fn = counted(objective)
+    return manager.run(fn, Budget(budget, max_concurrency=concurrency)), fn.calls
 
 
 def test_lookup_after_insert():
-    cache = EvalCache(SPACE)
     p = Point([0.5, 3, "a"])
-    assert cache.insert(p, record(p, 3.5)) is True
-    hit = cache.lookup(p)
-    assert hit is not None and hit.objective == 3.5
+    solver = ScriptedSolver([[p], [p]])
+    history, calls = run([solver])
+    assert len(calls) == 1
+    first, replay = solver.told
+    assert replay is first  # the second ask is answered from the cache
+    assert first.key == canonical_key(SPACE, p) and first.objective == 3.5
 
 
 def test_tiny_coordinate_perturbation_same_key():
-    cache = EvalCache(SPACE)
     p = Point([0.5, 3, "a"])
-    cache.insert(p, record(p, 1.0))
     nudged = decode(SPACE, [0.5 + 1e-14, 0.5, 0.0])
     assert nudged.values[0] != 0.5  # genuinely different raw value
-    assert cache.lookup(nudged) is not None
+    assert canonical_key(SPACE, nudged) == canonical_key(SPACE, p)
+    history, calls = run([ScriptedSolver([[p], [nudged]])])
+    assert len(calls) == 1 and history.stats.cache_hits == 1
 
 
 def test_lookup_missing_point():
-    cache = EvalCache(SPACE)
-    assert cache.lookup(Point([0.1, 1, "a"])) is None
+    history, calls = run([ScriptedSolver([[Point([0.5, 3, "a"])], [Point([0.1, 1, "a"])]])])
+    assert len(calls) == 2 and history.stats.cache_hits == 0
 
 
 def test_duplicate_insert_keeps_first_record():
-    cache = EvalCache(SPACE)
     p = Point([0.25, 2, "b"])
-    assert cache.insert(p, record(p, 1.0, eval_id=1)) is True
-    assert cache.insert(p, record(p, 2.0, eval_id=2)) is False
-    assert cache.lookup(p).objective == 1.0
-    assert cache.size() == 1
+    first, second = ScriptedSolver([[p]]), ScriptedSolver([[p]])
+    history, calls = run([first, second])
+    assert len(calls) == 1
+    assert [r.solver_id for r in history.records] == ["scriptedsolver-0"]  # the first asker owns it
+    assert first.told == second.told == history.records
 
 
 def test_categorical_levels_produce_distinct_keys():
-    cache = EvalCache(SPACE)
     pa, pb = Point([0.5, 3, "a"]), Point([0.5, 3, "b"])
-    assert cache.insert(pa, record(pa, 1.0))
-    assert cache.insert(pb, record(pb, 2.0))
-    assert cache.size() == 2
+    assert canonical_key(SPACE, pa) != canonical_key(SPACE, pb)
+    history, calls = run([ScriptedSolver([[pa, pb]])])
+    assert len(calls) == 2
 
 
 def test_size_matches_set_of_keys_oracle():
     rng = np.random.default_rng(0)
-    cache = EvalCache(SPACE)
-    seen: set = set()
-    for i in range(500):
-        p = Point([round(float(rng.random()), 1), int(rng.integers(1, 6)), "a"])
-        inserted = cache.insert(p, record(p, float(i), eval_id=i + 1))
-        key = canonical_key(SPACE, p)
-        assert inserted == (key not in seen)
-        seen.add(key)
-        assert cache.size() == len(seen)
+    points = [Point([round(float(rng.random()), 1), int(rng.integers(1, 6)), "a"]) for _ in range(500)]
+    batches = [points[i : i + 7] for i in range(0, len(points), 7)]
+    history, calls = run([ScriptedSolver(batches)])
+    keys = {canonical_key(SPACE, p) for p in points}
+    assert len(history.records) == len(calls) == len(keys)
+    assert history.stats.cache_hits == len(points) - len(keys)
+    assert {r.key for r in history.records} == keys
+    assert all(r.key == canonical_key(SPACE, r.point) for r in history.records)
 
 
 def test_concurrent_same_key_single_winner():
-    cache = EvalCache(SPACE)
     p = Point([0.75, 4, "b"])
-    results = []
-    barrier = threading.Barrier(8)
-
-    def worker(i: int):
-        barrier.wait()
-        results.append(cache.insert(p, record(p, float(i), eval_id=i + 1)))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sum(results) == 1
-    assert cache.size() == 1
+    solvers = [ScriptedSolver([[p]]) for _ in range(8)]
+    history, calls = run(solvers, concurrency=8)
+    assert len(calls) == 1 and len(history.records) == 1
+    assert all(s.told == history.records for s in solvers)
 
 
 def test_concurrent_mixed_keys():
-    cache = EvalCache(SPACE)
     points = [Point([i / 16, 1 + i % 5, "a"]) for i in range(16)]
-
-    def worker(offset: int):
-        for p in points[offset::2]:
-            cache.insert(p, record(p, 0.0))
-
-    threads = [threading.Thread(target=worker, args=(i % 2,)) for i in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert cache.size() == 16
-    assert all(cache.lookup(p) is not None for p in points)
+    solvers = [ScriptedSolver([points[i % 2 :: 2]]) for i in range(6)]
+    history, calls = run(solvers, concurrency=4)
+    assert len(calls) == len(history.records) == 16
+    assert {r.key for r in history.records} == {canonical_key(SPACE, p) for p in points}

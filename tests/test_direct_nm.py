@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.solvers.direct import (
     ACTIVE,
@@ -27,9 +28,15 @@ def unit_space(d: int) -> SearchSpace:
     return SearchSpace([ContinuousVariable(f"x{i}", 0.0, 1.0) for i in range(d)])
 
 
-def rec(p: Point, objective: float, eval_id: int) -> TrialRecord:
+def rec(space: SearchSpace, p: Point, objective: float, eval_id: int) -> TrialRecord:
     return TrialRecord(
-        point=p, objective=objective, status="ok", solver_id="t", iteration=1, eval_id=eval_id
+        point=p,
+        key=canonical_key(space, p),
+        objective=objective,
+        status="ok",
+        solver_id="t",
+        iteration=1,
+        eval_id=eval_id,
     )
 
 
@@ -105,10 +112,10 @@ def test_middle_child_costs_no_evaluation():
     solver = DirectSearch(space)
     root_pts = solver.ask(10)
     assert len(root_pts) == 1 and root_pts[0].values == (0.5,)
-    solver.tell([rec(root_pts[0], 7.0, 1)])
+    solver.tell([rec(space, root_pts[0], 7.0, 1)])
     wave = solver.ask(10)
     assert len(wave) == 2  # only the two outer children need values
-    solver.tell([rec(p, float(i), 2 + i) for i, p in enumerate(wave)])
+    solver.tell([rec(space, p, float(i), 2 + i) for i, p in enumerate(wave)])
     rects = solver.rects
     assert [r.state for r in rects] == [RETIRED, ACTIVE, ACTIVE, ACTIVE]
     mid = rects[2]

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import encoded_distance
+from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.solvers.hybrid import (
     HybridConfig,
@@ -13,6 +15,7 @@ from tunekit.solvers.hybrid import (
     Member,
     growth_update,
     make_children,
+    nearest_neighbor_distances,
     pareto_front,
     poll_points,
     select_centers,
@@ -41,12 +44,25 @@ MIXED = SearchSpace(
 
 def member(space: SearchSpace, values, objective: float, delta: float = 0.1, eval_id: int = 1) -> Member:
     p = Point(values)
-    return Member(point=p, encoded=encode(space, p), objective=objective, delta=delta, eval_id=eval_id)
+    return Member(
+        point=p,
+        key=canonical_key(space, p),
+        encoded=encode(space, p),
+        objective=objective,
+        delta=delta,
+        eval_id=eval_id,
+    )
 
 
-def rec(p: Point, objective: float, eval_id: int) -> TrialRecord:
+def rec(space: SearchSpace, p: Point, objective: float, eval_id: int) -> TrialRecord:
     return TrialRecord(
-        point=p, objective=objective, status="ok", solver_id="t", iteration=1, eval_id=eval_id
+        point=p,
+        key=canonical_key(space, p),
+        objective=objective,
+        status="ok",
+        solver_id="t",
+        iteration=1,
+        eval_id=eval_id,
     )
 
 
@@ -111,6 +127,19 @@ def test_second_center_drawn_from_front():
     assert len(seen_second) == 2  # both nondominated members get drawn
 
 
+def test_nearest_neighbor_distances_match_scalar_oracle():
+    rng = np.random.default_rng(4)
+    members = [
+        member(MIXED, [float(rng.random()), int(rng.integers(1, 32)), ("a", "b", "c")[i % 3]], 1.0)
+        for i in range(7)
+    ]
+    expected = [
+        min(encoded_distance(MIXED, m.encoded, o.encoded) for o in members if o is not m) for m in members
+    ]
+    assert nearest_neighbor_distances(MIXED, members) == expected
+    assert nearest_neighbor_distances(MIXED, members[:1]) == [float("inf")]
+
+
 def test_pareto_front_dominance_cases():
     # (obj, nn): b dominates c (lower obj, higher distance)
     assert pareto_front([1.0, 2.0, 3.0], [0.9, 0.5, 0.1]) == [0]
@@ -132,28 +161,29 @@ def test_ties_on_best_go_to_lowest_eval_id():
 def test_compass_polls_interior_center():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
     polls = poll_points(UNIT2, m)
-    got = [tuple(round(v, 12) for v in p.values) for p in polls]
+    got = [tuple(round(v, 12) for v in p.values) for p, _ in polls]
     assert got == [(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)]
+    assert all(key == canonical_key(UNIT2, p) for p, key in polls)
 
 
 def test_poll_clipping_onto_center_is_dropped():
     m = member(UNIT2, [0.0, 0.5], 1.0, delta=0.1)
     polls = poll_points(UNIT2, m)
     assert len(polls) == 3  # minus direction on x clips onto the center
-    assert all(is_valid(UNIT2, p) for p in polls)
+    assert all(is_valid(UNIT2, p) for p, _ in polls)
 
 
 def test_integer_channel_poll_arithmetic():
     space = SearchSpace([IntegerVariable("k", 1, 31)])
     m = member(space, [16], 1.0, delta=0.1)
     polls = poll_points(space, m)
-    assert sorted(p.values[0] for p in polls) == [13, 19]
+    assert sorted(p.values[0] for p, _ in polls) == [13, 19]
 
 
 def test_categorical_channels_not_polled():
     m = member(MIXED, [0.5, 16, "b"], 1.0, delta=0.1)
     polls = poll_points(MIXED, m)
-    assert all(p.values[2] == "b" for p in polls)
+    assert all(p.values[2] == "b" for p, _ in polls)
     assert len(polls) == 4  # two numeric channels x two directions
 
 
@@ -162,17 +192,18 @@ def test_categorical_channels_not_polled():
 
 def test_growth_accepts_sufficient_decrease():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
-    poll = rec(Point([0.6, 0.5]), 0.99, eval_id=10)
+    poll = rec(UNIT2, Point([0.6, 0.5]), 0.99, eval_id=10)
     event = growth_update(UNIT2, m, [poll], alpha=1e-4)
     assert event.accepted
     assert m.objective == 0.99
     assert m.point.values == (0.6, 0.5)
+    assert m.key == poll.key
     assert m.delta == 0.1  # step kept on success
 
 
 def test_growth_rejects_equal_value_and_halves():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
-    event = growth_update(UNIT2, m, [rec(Point([0.6, 0.5]), 1.0, 11)], alpha=1e-4)
+    event = growth_update(UNIT2, m, [rec(UNIT2, Point([0.6, 0.5]), 1.0, 11)], alpha=1e-4)
     assert not event.accepted
     assert m.delta == 0.05
     assert m.point.values == (0.5, 0.5)
@@ -181,7 +212,7 @@ def test_growth_rejects_equal_value_and_halves():
 def test_growth_boundary_is_strict():
     # threshold is 1.0 - 1e-4 * 0.1^2 = 0.999999; 0.9999995 is not below it
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
-    event = growth_update(UNIT2, m, [rec(Point([0.6, 0.5]), 0.9999995, 12)], alpha=1e-4)
+    event = growth_update(UNIT2, m, [rec(UNIT2, Point([0.6, 0.5]), 0.9999995, 12)], alpha=1e-4)
     assert not event.accepted
     assert m.delta == 0.05
 
@@ -237,7 +268,7 @@ def test_first_ask_truncates_to_capacity():
 def test_members_start_with_delta_init():
     solver = HybridSearch(BOX2, seed=1)
     points = solver.ask(50)
-    solver.tell([rec(p, sphere(p), i + 1) for i, p in enumerate(points)])
+    solver.tell([rec(BOX2, p, sphere(p), i + 1) for i, p in enumerate(points)])
     assert all(m.delta == solver.config.delta_init for m in solver.population)
 
 
@@ -251,7 +282,7 @@ def test_generation_ask_size_bound():
     cfg = HybridConfig(population=10, centers=2, elites=1)
     solver = HybridSearch(BOX2, seed=3, config=cfg)
     points = solver.ask(1000)
-    solver.tell([rec(p, sphere(p), i + 1) for i, p in enumerate(points)])
+    solver.tell([rec(BOX2, p, sphere(p), i + 1) for i, p in enumerate(points)])
     gen_ask = solver.ask(1000)
     d = len(BOX2.numeric_indices)
     assert len(gen_ask) <= (cfg.population - cfg.elites) + cfg.centers * 2 * d
@@ -285,9 +316,10 @@ def test_foreign_adoption_hand_replay():
         member(UNIT2, [0.3, 0.3], 3.0, eval_id=3),
     ]
     foreign = [
-        rec(Point([0.4, 0.4]), 2.5, eval_id=101),  # replaces the 3.0 member
-        rec(Point([0.5, 0.5]), 5.0, eval_id=102),  # beats nothing
-        rec(Point([0.6, 0.6]), 0.5, eval_id=103),  # replaces the adopted 2.5
+        rec(UNIT2, Point([0.4, 0.4]), 2.5, eval_id=101),  # replaces the 3.0 member
+        rec(UNIT2, Point([0.5, 0.5]), 5.0, eval_id=102),  # beats nothing
+        rec(UNIT2, Point([0.6, 0.6]), 0.5, eval_id=103),  # replaces the adopted 2.5
+        rec(UNIT2, Point([0.1, 0.1]), 0.1, eval_id=104),  # already a member: skipped
     ]
     solver._adopt_foreign(foreign)
     assert sorted(m.objective for m in solver.population) == [0.5, 1.0, 2.0]

@@ -1,16 +1,16 @@
 """Manager loop contracts: budget, determinism, sharing, isolation, failure
-tolerance, and reporting."""
+tolerance, and the run summary."""
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import RecordingSolver, counted
-from tunekit.manager import Solver, TuningManager, report
+from helpers import RecordingSolver, ScriptedSolver, counted
+from tunekit.manager import Solver, TuningManager
 from tunekit.objectives import BuiltinObjective
 from tunekit.solvers import HybridConfig, HybridSearch, RandomSearch
 from tunekit.space import ContinuousVariable, Point, SearchSpace
-from tunekit.trials import PENALTY_OBJECTIVE, Budget, TuningHistory, TrialRecord
+from tunekit.trials import PENALTY_OBJECTIVE, Budget, TuningHistory
 
 SPACE2 = SearchSpace([ContinuousVariable("x", -5.0, 5.0), ContinuousVariable("y", -5.0, 5.0)])
 
@@ -19,34 +19,12 @@ def sphere_objective(point: Point, eval_id: int) -> float:
     return sum(float(v) ** 2 for v in point.values)
 
 
-class ScriptedSolver(Solver):
-    """Asks a fixed script of point batches; records everything it is told."""
-
-    def __init__(self, batches: list[list[Point]]):
-        self._batches = list(batches)
-        self.told: list[TrialRecord] = []
-
-    def ask(self, max_points: int) -> list[Point]:
-        if not self._batches:
-            return []
-        batch = self._batches.pop(0)
-        return batch[:max_points]
-
-    def tell(self, records) -> None:
-        self.told.extend(records)
-
-    def is_done(self) -> bool:
-        return not self._batches
-
-
 class ThrowingSolver(Solver):
     def ask(self, max_points: int) -> list[Point]:
         raise RuntimeError("boom")
 
     def tell(self, records) -> None:
         pass
-
-
 
 
 # -- registration ---------------------------------------------------------------
@@ -141,13 +119,23 @@ def test_objective_failures_become_penalty_records():
     assert all(r.fail_reason == "hidden_constraint" for r in fails)
 
 
-def test_throwing_solver_is_isolated_not_fatal():
+@pytest.mark.parametrize(
+    "make_bad",
+    [
+        ThrowingSolver,
+        lambda: ScriptedSolver([[Point([0.1])]]),  # wrong arity
+        lambda: ScriptedSolver([[Point([9.0, 0.0])]]),  # out of bounds
+    ],
+    ids=["ask-raises", "wrong-arity", "out-of-bounds"],
+)
+def test_throwing_solver_is_isolated_not_fatal(make_bad):
     manager = TuningManager(SPACE2)
-    manager.register_solver(ThrowingSolver())
-    manager.register_solver(RandomSearch(SPACE2, seed=5))
+    manager.register_solver(make_bad())
+    survivor = manager.register_solver(RandomSearch(SPACE2, seed=5))
     objective = counted(sphere_objective)
     history = manager.run(objective, Budget(30))
     assert len(history.records) == 30  # survivor consumed the whole budget
+    assert {r.solver_id for r in history.records} == {survivor}
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -209,7 +197,7 @@ def test_share_in_false_blocks_foreign_records():
     assert {r.point.values for r in quiet.told} == {(1.0, 1.0)}
 
 
-# -- history / report ----------------------------------------------------------------------
+# -- history / summary ---------------------------------------------------------------------
 
 
 def test_history_best_by_iteration_non_increasing():
@@ -225,7 +213,7 @@ def test_report_mixed_statuses():
     manager = TuningManager(SPACE2)
     manager.register_solver(RandomSearch(SPACE2, seed=21))
     history = manager.run(lambda p, e: objective(p, e), Budget(40))
-    summary = report(history)
+    summary = history.summary()
     ok_records = [r for r in history.records if r.ok]
     assert summary["best"]["objective"] == min(r.objective for r in ok_records)
     assert summary["status_counts"]["ok"] == len(ok_records)
@@ -239,14 +227,9 @@ def test_report_all_failures_has_no_best():
     manager = TuningManager(SPACE2)
     manager.register_solver(RandomSearch(SPACE2, seed=1))
     history = manager.run(always_fail, Budget(10))
-    summary = report(history)
+    summary = history.summary()
     assert summary["best"] is None
     assert summary["status_counts"]["fail"] == 10
-
-
-def test_report_empty_history_errors():
-    with pytest.raises(ValueError):
-        report(TuningHistory(SPACE2))
 
 
 def test_single_ok_record_best():
@@ -255,4 +238,12 @@ def test_single_ok_record_best():
     manager = TuningManager(SPACE2)
     manager.register_solver(solver)
     history = manager.run(sphere_objective, Budget(5))
-    assert report(history)["best"]["objective"] == pytest.approx(0.05)
+    assert history.summary()["best"]["objective"] == pytest.approx(0.05)
+
+
+def test_wall_times_are_fractional_milliseconds():
+    manager = TuningManager(SPACE2)
+    manager.register_solver(RandomSearch(SPACE2, seed=2))
+    history = manager.run(sphere_objective, Budget(20))
+    # a sub-millisecond objective no longer rounds down to 0
+    assert all(isinstance(r.wall_time_ms, float) and 0.0 < r.wall_time_ms for r in history.records)

@@ -3,6 +3,9 @@ cost-model fitting."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,11 @@ def test_fit_requires_three_distinct_worker_counts():
         fit_cost_model([(1, 10.0), (2, 6.0)])
     with pytest.raises(ValueError):
         fit_cost_model([(2, 10.0), (2, 11.0), (2, 12.0)])
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only fit_cost_model needs scipy.optimize; loading it costs every command
+    # a fifth of a second
+    code = "import sys, tunekit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

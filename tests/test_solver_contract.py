@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import counted
+from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.solvers import SOLVER_TYPES, make_solver
 from tunekit.space import (
@@ -50,6 +51,7 @@ def test_ask_respects_cap(solver_type):
         records = [
             TrialRecord(
                 point=p,
+                key=canonical_key(CONT2, p),
                 objective=_objective(p, 0),
                 status="ok",
                 solver_id="t",
@@ -66,8 +68,10 @@ def test_ask_respects_cap(solver_type):
 def test_foreign_records_tolerated(solver_type):
     solver = make_solver(solver_type, CONT2, seed=7, params=_params(solver_type))
     points = solver.ask(5)
+    foreign_point = Point([0.123456789, 0.987654321])
     foreign = TrialRecord(
-        point=Point([0.123456789, 0.987654321]),
+        point=foreign_point,
+        key=canonical_key(CONT2, foreign_point),
         objective=0.5,
         status="ok",
         solver_id="other",
@@ -76,7 +80,13 @@ def test_foreign_records_tolerated(solver_type):
     )
     records = [
         TrialRecord(
-            point=p, objective=_objective(p, 0), status="ok", solver_id="t", iteration=1, eval_id=i + 1
+            point=p,
+            key=canonical_key(CONT2, p),
+            objective=_objective(p, 0),
+            status="ok",
+            solver_id="t",
+            iteration=1,
+            eval_id=i + 1,
         )
         for i, p in enumerate(points)
     ]

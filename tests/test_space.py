@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import encoded_distance
 from tunekit.space import (
     ArityMismatchError,
     CategoricalVariable,
@@ -19,6 +20,7 @@ from tunekit.space import (
     distance,
     encode,
     is_valid,
+    mixed_sqdist_matrix,
     validate_point,
 )
 
@@ -224,3 +226,18 @@ def test_distance_zero_iff_equal_after_encoding():
     space = SearchSpace([ContinuousVariable("x", 0.0, 1.0)])
     assert distance(space, Point([0.25]), Point([0.25])) == 0.0
     assert distance(space, Point([0.25]), Point([0.26])) > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_space_strategy(), st.integers(0, 2**32 - 1))
+def test_distance_matrix_matches_scalar_oracle(space, seed):
+    rng = np.random.default_rng(seed)
+    points = [_random_point(space, rng) for _ in range(4)]
+    enc = np.stack([encode(space, p) for p in points])
+    sq = mixed_sqdist_matrix(space, enc, enc[:3])
+    assert sq.shape == (4, 3)
+    for i, a in enumerate(points):
+        for j, b in enumerate(points[:3]):
+            expected = encoded_distance(space, enc[i], enc[j])
+            assert np.sqrt(sq[i, j]) == pytest.approx(expected, abs=1e-12)
+            assert distance(space, a, b) == pytest.approx(expected, abs=1e-12)

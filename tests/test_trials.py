@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from tunekit.cache import canonical_key
 from tunekit.space import ContinuousVariable, Point, SearchSpace
 from tunekit.trials import (
     PENALTY_OBJECTIVE,
@@ -18,24 +19,29 @@ from tunekit.trials import (
 SPACE = SearchSpace([ContinuousVariable("x", 0.0, 1.0)])
 
 
-def ok_record(x: float, objective: float, eval_id: int, iteration: int = 1) -> TrialRecord:
+def ok_record(
+    x: float, objective: float, eval_id: int, iteration: int = 1, wall_time_ms: float = 0.0
+) -> TrialRecord:
     return TrialRecord(
         point=Point([x]),
+        key=canonical_key(SPACE, Point([x])),
         objective=objective,
         status="ok",
         solver_id="s",
         iteration=iteration,
         eval_id=eval_id,
+        wall_time_ms=wall_time_ms,
     )
 
 
 def test_fail_record_requires_penalty_sentinel():
     with pytest.raises(ValueError):
         TrialRecord(
-            point=Point([0.5]), objective=1.0, status="fail", solver_id="s", iteration=1, eval_id=1
+            point=Point([0.5]), key=(0.5,), objective=1.0, status="fail", solver_id="s", iteration=1, eval_id=1
         )
     rec = TrialRecord(
         point=Point([0.5]),
+        key=(0.5,),
         objective=PENALTY_OBJECTIVE,
         status="fail",
         solver_id="s",
@@ -57,7 +63,7 @@ def test_ok_record_requires_finite_objective():
 def test_unknown_status_rejected():
     with pytest.raises(ValueError):
         TrialRecord(
-            point=Point([0.5]), objective=1.0, status="maybe", solver_id="s", iteration=1, eval_id=1
+            point=Point([0.5]), key=(0.5,), objective=1.0, status="maybe", solver_id="s", iteration=1, eval_id=1
         )
 
 
@@ -80,6 +86,7 @@ def test_convergence_rows_skip_until_first_ok():
     history = TuningHistory(SPACE)
     fail = TrialRecord(
         point=Point([0.1]),
+        key=(0.1,),
         objective=PENALTY_OBJECTIVE,
         status="fail",
         solver_id="s",
@@ -93,14 +100,14 @@ def test_convergence_rows_skip_until_first_ok():
 
 def test_history_csv_and_summary_roundtrip(tmp_path):
     history = TuningHistory(SPACE, seed=5)
-    history.records = [ok_record(0.25, 2.0, 1), ok_record(0.75, 1.0, 2, iteration=2)]
+    history.records = [ok_record(0.25, 2.0, 1, wall_time_ms=0.375), ok_record(0.75, 1.0, 2, iteration=2)]
     history.stats.evaluations = 2
     history.stats.points_asked = 2
     csv_path = tmp_path / "history.csv"
     history.write_history_csv(csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "eval_id,iteration,solver_id,x,objective,status,wall_time_ms"
-    assert lines[1] == "1,1,s,0.25,2.0,ok,0"
+    assert lines[1] == "1,1,s,0.25,2.0,ok,0.375"  # sub-millisecond times are kept
 
     summary_path = tmp_path / "summary.json"
     history.write_summary_json(summary_path)

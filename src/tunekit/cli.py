@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, RunConfig, instantiate_solvers, load_run_config
-from .manager import TuningManager
+from .manager import Objective, TuningManager
 from .objectives import build_objective
 from .schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
 from .trials import TuningHistory
@@ -28,8 +28,7 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _run_once(config: RunConfig, seed: int) -> TuningHistory:
-    objective = build_objective(config.objective_spec, config.space, seed)
+def _run_once(config: RunConfig, seed: int, objective: Objective) -> TuningHistory:
     manager = TuningManager(config.space)
     for setup, solver in instantiate_solvers(config, seed):
         solver_id = manager.register_solver(solver, share_in=setup.share)
@@ -51,14 +50,13 @@ def tune(config_path: str, out_dir: str | None, seed: int | None) -> None:
     """Run one tuning job and write history.csv, convergence.csv, summary.json."""
     try:
         config = load_run_config(config_path, out_override=out_dir, seed_override=seed)
-        objective_check = build_objective(config.objective_spec, config.space, config.seed)
+        objective = build_objective(config.objective_spec, config.space, config.seed)
     except (ConfigError, ValueError, KeyError) as exc:
         _fail(1, str(exc))
         return
-    del objective_check
 
     try:
-        history = _run_once(config, config.seed)
+        history = _run_once(config, config.seed, objective)
         out = config.out_dir or Path(".")
         out.mkdir(parents=True, exist_ok=True)
         history.write_history_csv(out / "history.csv")
@@ -89,7 +87,11 @@ def bench(config_path: str, n_seeds: int, out_dir: str | None) -> None:
             raise ConfigError("bench needs at least 2 solver setups to compare")
         if n_seeds < 1:
             raise ConfigError("--seeds must be >= 1")
-        build_objective(config.objective_spec, config.space, config.seed)
+        # one objective per seed, shared by every solver setup's run
+        objectives = [
+            build_objective(config.objective_spec, config.space, config.seed + i)
+            for i in range(n_seeds)
+        ]
     except (ConfigError, ValueError, KeyError) as exc:
         _fail(1, str(exc))
         return
@@ -108,7 +110,7 @@ def bench(config_path: str, n_seeds: int, out_dir: str | None) -> None:
             for i in range(n_seeds):
                 seed = config.seed + i
                 started = time.perf_counter()
-                history = _run_once(single, seed)
+                history = _run_once(single, seed, objectives[i])
                 wall_ms = int((time.perf_counter() - started) * 1000)
                 best = history.best_record()
                 rows.append(

@@ -6,14 +6,15 @@ Hyperparameters come from data heuristics: length scale = median pairwise
 distance, signal variance = sample variance of the outputs, noise variance =
 1e-6 of the signal variance. Proposals minimize LCB(x) = mu(x) - kappa *
 sigma(x) over a fresh LHS candidate set, with the best candidates refined by
-a short simplex search on the continuous channels.
+a short simplex search on the continuous channels. The refinement simplexes
+run in lockstep: each step snaps the pending points of all of them to valid
+points and scores them with one posterior call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -21,9 +22,9 @@ import scipy.linalg
 from ..cache import CacheKey, canonical_key
 from ..manager import Solver
 from ..sampling import SampleRequest, lhs_sample
-from ..space import Point, SearchSpace, decode, encode, mixed_sqdist_matrix
+from ..space import Point, SearchSpace, decode, encode, mixed_sqdist_matrix, snap_encoded
 from ..trials import TrialRecord
-from .neldermead import nm_minimize
+from .neldermead import nm_minimize_many
 
 JITTER_CEILING_FACTOR = 1e-2
 NOISE_FACTOR = 1e-6
@@ -108,9 +109,15 @@ class GPModel:
         return self.signal_var * np.exp(-sq / (2.0 * self.length_scale**2))
 
     def posterior_many(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, variance) arrays for encoded query rows; variance clamped >= 0."""
+        """(mean, variance) arrays for encoded query rows; variance clamped >= 0.
+
+        Each row's result has the same bits whatever the batch size, so a
+        batched call scores a point exactly as a one-row call would. The mean
+        therefore takes one dot product per row: a matrix-vector product
+        `k_star @ alpha` changes its summation order, and so its last bits,
+        with the number of rows."""
         k_star = self._kernel(query, self.train_x)
-        mean = self.prior_mean + k_star @ self._alpha
+        mean = self.prior_mean + (k_star[:, None, :] @ self._alpha[:, None])[:, 0, 0]
         solved = scipy.linalg.cho_solve(self._factor, k_star.T)
         var = self.signal_var - np.einsum("ij,ji->i", k_star, solved)
         return mean, np.maximum(var, 0.0)
@@ -121,13 +128,24 @@ class GPModel:
         return float(mean[0]), float(var[0])
 
 
-def fit_gp(space: SearchSpace, records: Sequence[TrialRecord], cap: int = 300) -> GPModel:
-    """Fit a surrogate on the ok records (failures excluded), trimming to cap."""
+def fit_gp(
+    space: SearchSpace,
+    records: Sequence[TrialRecord],
+    cap: int = 300,
+    rows: Mapping[CacheKey, np.ndarray] | None = None,
+) -> GPModel:
+    """Fit a surrogate on the ok records (failures excluded), trimming to cap.
+
+    rows maps each record's key to its encoded point; without it the kept
+    records are encoded here."""
     ok = [r for r in records if r.ok]
     if len(ok) < 2:
         raise GPFitError(f"need at least 2 ok records, got {len(ok)}")
     ok = trim_records(ok, cap)
-    train_x = np.stack([encode(space, r.point) for r in ok])
+    if rows is None:
+        train_x = np.stack([encode(space, r.point) for r in ok])
+    else:
+        train_x = np.stack([rows[r.key] for r in ok])
     train_y = np.array([r.objective for r in ok])
 
     sq = mixed_sqdist_matrix(space, train_x, train_x)
@@ -151,13 +169,10 @@ def propose(
     restarts: int,
 ) -> list[tuple[Point, CacheKey]]:
     """m best distinct unseen points under LCB, with their keys, over a fresh
-    LHS candidate set, the best candidates refined by simplex search on
-    continuous channels."""
-
-    def lcb_of(encoded: np.ndarray) -> float:
-        mean, var = model.posterior_many(encoded[None, :])
-        return float(mean[0] - kappa * math.sqrt(var[0]))
-
+    LHS candidate set. The `restarts` best candidates are refined by simplex
+    searches on their continuous channels, run in lockstep: each step snaps
+    every pending point of every search as decode then encode would and
+    scores them all with one posterior call."""
     candidates = lhs_sample(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
     encoded = np.stack([encode(space, p) for p in candidates])
     mean, var = model.posterior_many(encoded)
@@ -169,18 +184,19 @@ def propose(
     ]
     cont = space.continuous_indices
     if cont:
-        for extra, i in enumerate(order[:restarts]):
-            template = encoded[i].copy()
+        templates = encoded[order[:restarts]]
 
-            def refined_lcb(u: np.ndarray) -> float:
-                merged = template.copy()
-                merged[cont] = u
-                return lcb_of(encode(space, decode(space, merged)))
+        def refined_lcb(rows: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            merged = templates[owners]
+            merged[:, cont] = rows
+            mean, var = model.posterior_many(snap_encoded(space, merged))
+            return mean - kappa * np.sqrt(var)
 
-            best_u, best_f, _ = nm_minimize(
-                refined_lcb, template[cont], edge=0.1, max_iters=REFINE_MAX_ITERS
-            )
-            merged = template.copy()
+        refined = nm_minimize_many(
+            refined_lcb, templates[:, cont], edge=0.1, max_iters=REFINE_MAX_ITERS
+        )
+        for extra, (best_u, best_f, _) in enumerate(refined):
+            merged = templates[extra].copy()
             merged[cont] = best_u
             pool.append((best_f, -restarts + extra, decode(space, merged)))
 
@@ -203,6 +219,7 @@ class BayesSearch(Solver):
         self.config = config or BayesConfig()
         self._rng = np.random.default_rng(seed)
         self._records: dict[CacheKey, TrialRecord] = {}
+        self._rows: dict[CacheKey, np.ndarray] = {}  # encoded points of the ok records
         self._seen: set[CacheKey] = set()
         self._initialized = False
         self.model: GPModel | None = None
@@ -220,7 +237,9 @@ class BayesSearch(Solver):
             return self._lhs_points(min(self.config.init, max_points))
         m = min(self.config.batch, max_points)
         try:
-            self.model = fit_gp(self._space, list(self._records.values()), self.config.cap)
+            self.model = fit_gp(
+                self._space, list(self._records.values()), self.config.cap, self._rows
+            )
         except GPFitError:
             return self._lhs_points(m)
         proposals = propose(
@@ -233,7 +252,10 @@ class BayesSearch(Solver):
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:
-            self._records.setdefault(rec.key, rec)
+            if rec.key not in self._records:
+                self._records[rec.key] = rec
+                if rec.ok:
+                    self._rows[rec.key] = encode(self._space, rec.point)
             self._seen.add(rec.key)
 
     def is_done(self) -> bool:

@@ -2,8 +2,10 @@
 
 SimplexSearch is a resumable state machine: pending() lists the points whose
 values are needed next, advance() feeds them back. That single implementation
-is driven three ways: synchronously by nm_minimize(), through the ask/tell
-contract by NelderMeadSolver, and per-rectangle by the DIRECT hybrid.
+is driven by nm_minimize_many(), which runs several searches in lockstep with
+one batched call per step (nm_minimize() is its one-start form, and Bayes
+refines its proposals with it), through the ask/tell contract by
+NelderMeadSolver, and per-rectangle by the DIRECT hybrid.
 
 Candidates are clipped to [0, 1]^d before evaluation. A candidate that lands
 exactly on an existing vertex after clipping is not evaluated; it is treated
@@ -44,26 +46,20 @@ def _axis_simplex(x0: np.ndarray, edge: float) -> list[np.ndarray]:
     return vertices
 
 
-def _volume(vertices: list[np.ndarray]) -> float:
-    m = len(vertices) - 1
-    if m == 0:
-        return 1.0
-    basis = np.stack([v - vertices[0] for v in vertices[1:]], axis=0)
-    return abs(float(np.linalg.det(basis))) / math.factorial(m)
-
-
 def _is_degenerate(vertices: list[np.ndarray]) -> bool:
     """Shape degeneracy: volume vanishing relative to the simplex's own scale.
 
     A uniformly shrunk simplex is converging, not degenerate, so the volume is
     normalized by the longest edge length before comparing to the threshold."""
-    scale = max(
-        (float(np.max(np.abs(v - vertices[0]))) for v in vertices[1:]), default=0.0
-    )
+    if len(vertices) < 2:
+        return True
+    basis = np.asarray(vertices[1:]) - vertices[0]
+    scale = float(np.max(np.abs(basis)))
     if scale == 0.0:
         return True
-    m = len(vertices) - 1
-    return _volume(vertices) / scale**m < DEGENERATE_VOLUME
+    m = len(basis)
+    volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
+    return volume / scale**m < DEGENERATE_VOLUME
 
 
 class SimplexSearch:
@@ -107,7 +103,7 @@ class SimplexSearch:
     # -- internals ---------------------------------------------------------
 
     def _collides(self, x: np.ndarray) -> bool:
-        return any(float(np.max(np.abs(x - v))) < 1e-15 for v in self._verts)
+        return bool(np.any(np.max(np.abs(np.asarray(self._verts) - x), axis=1) < 1e-15))
 
     def _sort(self) -> None:
         order = sorted(range(len(self._fs)), key=lambda i: self._fs[i])
@@ -164,20 +160,49 @@ class SimplexSearch:
                     self._fs = [self._fs[0]] + list(new_fs)
 
 
+def nm_minimize_many(
+    fn_rows: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    starts: Sequence[np.ndarray],
+    edge: float = 0.1,
+    max_iters: int = 200,
+) -> list[tuple[np.ndarray, float, int]]:
+    """Drive one SimplexSearch per start in lockstep; returns (best_x, best_f,
+    iterations) per start.
+
+    Each step stacks the pending points of every active search into one array
+    and makes a single fn_rows(rows, owners) call, where owners[i] is the
+    index of the start whose search asked for rows[i]; it returns one value
+    per row. A search leaves the batch once it has run max_iters iterations or
+    every vertex holds the same value, so each search takes the path it would
+    take alone."""
+    searches = [SimplexSearch(np.asarray(x0, dtype=float), edge=edge) for x0 in starts]
+    active = [i for i, s in enumerate(searches) if s.iterations < max_iters]
+    while active:
+        pending = [searches[i].pending() for i in active]
+        owners = np.repeat(active, [len(p) for p in pending])
+        values = fn_rows(np.concatenate(pending), owners)
+        offset = 0
+        for i, points in zip(active, pending):
+            searches[i].advance(values[offset : offset + len(points)])
+            offset += len(points)
+        active = [
+            i
+            for i in active
+            if searches[i].iterations < max_iters
+            and not (searches[i].iterations > 0 and searches[i].value_spread() <= 0.0)
+        ]
+    return [(s.best_x, s.best_f, s.iterations) for s in searches]
+
+
 def nm_minimize(
     fn: Callable[[np.ndarray], float],
     x0: np.ndarray,
     edge: float = 0.1,
     max_iters: int = 200,
 ) -> tuple[np.ndarray, float, int]:
-    """Drive a SimplexSearch synchronously until max_iters or until every
-    vertex holds the same value; returns (best_x, best_f, iterations)."""
-    search = SimplexSearch(np.asarray(x0, dtype=float), edge=edge)
-    while search.iterations < max_iters:
-        search.advance([fn(x) for x in search.pending()])
-        if search.iterations > 0 and search.value_spread() <= 0.0:
-            break
-    return search.best_x, search.best_f, search.iterations
+    """nm_minimize_many with one start, calling fn once per point; returns
+    (best_x, best_f, iterations)."""
+    return nm_minimize_many(lambda rows, _: [fn(x) for x in rows], [x0], edge, max_iters)[0]
 
 
 class NelderMeadSolver(Solver):

@@ -222,6 +222,35 @@ def decode(space: SearchSpace, coords: Sequence[float]) -> Point:
     return Point(values)
 
 
+def snap_encoded(space: SearchSpace, rows: np.ndarray) -> np.ndarray:
+    """encode(decode(row)) for every row of an (n, d) array, bit for bit.
+
+    Each channel repeats decode's and encode's arithmetic in the same order
+    (lo + c * (hi - lo), clip, then (x - lo) / (hi - lo); integer and
+    categorical channels round half up), so the rows match the point round
+    trip without building a Point per row."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(space.variables):
+        raise ArityMismatchError(
+            f"coordinate rows of shape {rows.shape} for {len(space.variables)} variables"
+        )
+    out = np.empty_like(rows)
+    for i, var in enumerate(space.variables):
+        c = rows[:, i]
+        if isinstance(var, ContinuousVariable):
+            x = np.clip(var.lo + c * (var.hi - var.lo), var.lo, var.hi)
+            out[:, i] = (x - var.lo) / (var.hi - var.lo)
+        elif isinstance(var, IntegerVariable):
+            if var.hi == var.lo:
+                out[:, i] = 0.0
+            else:
+                k = np.clip(np.floor(var.lo + c * (var.hi - var.lo) + 0.5), var.lo, var.hi)
+                out[:, i] = (k - var.lo) / (var.hi - var.lo)
+        else:
+            out[:, i] = np.clip(np.floor(c + 0.5), 0, len(var.levels) - 1)
+    return out
+
+
 def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared mixed distance between encoded rows of a and b:
     squared Euclidean on numeric channels plus a 0/1 mismatch per categorical

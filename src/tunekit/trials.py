@@ -97,13 +97,18 @@ def _csv_cell(value: Value) -> str:
 
 @dataclass
 class TuningHistory:
-    """Ordered log of unique evaluated points plus per-iteration bests."""
+    """Ordered log of unique evaluated points plus per-iteration bests.
+
+    records is append-only: close_iteration folds only the records added since
+    its last call into a running best."""
 
     space: SearchSpace
     records: list[TrialRecord] = field(default_factory=list)
     best_by_iteration: list[tuple[int, float]] = field(default_factory=list)
     stats: RunStats = field(default_factory=RunStats)
     seed: int = 0
+    _best_objective: float = field(default=math.inf, init=False, repr=False, compare=False)
+    _folded: int = field(default=0, init=False, repr=False, compare=False)
 
     def best_record(self) -> TrialRecord | None:
         """Best ok record (lowest objective, earliest eval_id on ties)."""
@@ -114,9 +119,12 @@ class TuningHistory:
         return best
 
     def close_iteration(self, iteration: int) -> None:
-        best = self.best_record()
-        if best is not None:
-            self.best_by_iteration.append((iteration, best.objective))
+        for rec in self.records[self._folded :]:
+            if rec.ok and rec.objective < self._best_objective:
+                self._best_objective = rec.objective
+        self._folded = len(self.records)
+        if math.isfinite(self._best_objective):
+            self.best_by_iteration.append((iteration, self._best_objective))
 
     def status_counts(self) -> dict[str, int]:
         counts = {STATUS_OK: 0, STATUS_FAIL: 0}

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
+from tunekit.cache import canonical_key
 from tunekit.manager import Solver
-from tunekit.solvers.bayes import GPModel
-from tunekit.space import Point, SearchSpace
+from tunekit.sampling import SampleRequest, lhs_sample
+from tunekit.solvers.bayes import CANDIDATE_COUNT, REFINE_MAX_ITERS, GPModel
+from tunekit.solvers.neldermead import SimplexSearch
+from tunekit.space import Point, SearchSpace, decode, encode
 from tunekit.trials import TrialRecord
 
 
@@ -45,6 +48,65 @@ def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray
     mu = model.prior_mean + k_star @ np.linalg.solve(a_mat, y_minus_m)
     var = sf2 - k_star @ np.linalg.solve(a_mat, k_star)
     return float(mu), max(float(var), 0.0)
+
+
+def reference_nm_minimize(fn, x0: np.ndarray, edge: float, max_iters: int):
+    """One simplex driven alone, one fn call per point, until max_iters or a
+    zero value spread; returns (best_x, best_f, iterations, steps)."""
+    search = SimplexSearch(np.asarray(x0, dtype=float), edge=edge)
+    steps = 0
+    while search.iterations < max_iters:
+        search.advance([fn(x) for x in search.pending()])
+        steps += 1
+        if search.iterations > 0 and search.value_spread() <= 0.0:
+            break
+    return search.best_x, search.best_f, search.iterations, steps
+
+
+def reference_propose(model: GPModel, space: SearchSpace, m: int, kappa: float, rng, seen, restarts: int):
+    """Bayes proposals with each refinement simplex run alone over a one-row
+    LCB of encode(decode(...)); returns (proposals, steps per restart)."""
+
+    def lcb_of(encoded: np.ndarray) -> float:
+        mean, var = model.posterior_many(encoded[None, :])
+        return float(mean[0] - kappa * math.sqrt(var[0]))
+
+    candidates = lhs_sample(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
+    encoded = np.stack([encode(space, p) for p in candidates])
+    mean, var = model.posterior_many(encoded)
+    lcb = mean - kappa * np.sqrt(var)
+    order = np.argsort(lcb, kind="stable")
+    pool = [(float(lcb[i]), rank, candidates[i]) for rank, i in enumerate(order)]
+    cont = space.continuous_indices
+    steps = []
+    if cont:
+        for extra, i in enumerate(order[:restarts]):
+            template = encoded[i].copy()
+
+            def refined_lcb(u: np.ndarray) -> float:
+                merged = template.copy()
+                merged[cont] = u
+                return lcb_of(encode(space, decode(space, merged)))
+
+            best_u, best_f, _, n_steps = reference_nm_minimize(
+                refined_lcb, template[cont], edge=0.1, max_iters=REFINE_MAX_ITERS
+            )
+            steps.append(n_steps)
+            merged = template.copy()
+            merged[cont] = best_u
+            pool.append((best_f, -restarts + extra, decode(space, merged)))
+
+    chosen = []
+    used = set(seen)
+    for _, _, point in sorted(pool, key=lambda t: (t[0], t[1])):
+        key = canonical_key(space, point)
+        if key in used:
+            continue
+        used.add(key)
+        chosen.append((point, key))
+        if len(chosen) >= m:
+            break
+    return chosen, steps
 
 
 class ScriptedSolver(Solver):

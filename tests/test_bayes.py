@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_posterior_oracle
+from helpers import dense_posterior_oracle, reference_propose
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
+from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import (
     BayesConfig,
     BayesSearch,
@@ -31,6 +32,7 @@ from tunekit.space import (
 from tunekit.trials import Budget, TrialRecord
 
 UNIT1 = SearchSpace([ContinuousVariable("x", 0.0, 1.0)])
+BOX3 = SearchSpace([ContinuousVariable(f"x{i}", -2.0, 2.0) for i in range(3)])
 MIXED = SearchSpace(
     [
         ContinuousVariable("x", 0.0, 1.0),
@@ -53,6 +55,15 @@ def rec(space: SearchSpace, values, objective: float, eval_id: int, ok: bool = T
         eval_id=eval_id,
         fail_reason=None if ok else "x",
     )
+
+
+def random_records(space: SearchSpace, n: int, rng: np.random.Generator) -> list[TrialRecord]:
+    """n LHS points with a smooth objective of their encoding plus noise."""
+    points = lhs_sample(space, SampleRequest(n, int(rng.integers(0, 2**31))))
+    return [
+        rec(space, p.values, float(np.sum((encode(space, p) - 0.3) ** 2) + 0.01 * rng.normal()), i + 1)
+        for i, p in enumerate(points)
+    ]
 
 
 # -- fit heuristics ------------------------------------------------------------
@@ -180,6 +191,21 @@ def test_variance_bounds():
     assert np.all(var <= model.signal_var * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("n", [3, 20, 120])
+def test_batched_posterior_rows_equal_one_row_calls(n):
+    rng = np.random.default_rng(n)
+    for space in (BOX3, MIXED):
+        model = fit_gp(space, random_records(space, n, rng))
+        for batch in (2, 7, 64, 256):
+            points = lhs_sample(space, SampleRequest(batch, int(rng.integers(0, 2**31))))
+            query = np.stack([encode(space, p) for p in points])
+            mean, var = model.posterior_many(query)
+            for i, row in enumerate(query):
+                mean_1, var_1 = model.posterior_many(row[None, :])
+                assert np.array_equal(mean[i : i + 1], mean_1), f"mean of row {i} of {batch}"
+                assert np.array_equal(var[i : i + 1], var_1), f"variance of row {i} of {batch}"
+
+
 # -- propose -------------------------------------------------------------------------
 
 
@@ -223,6 +249,39 @@ def test_proposal_avoids_seen_points():
     point, key = proposals[0]
     assert key == canonical_key(UNIT1, point)
     assert key not in seen
+
+
+@pytest.mark.parametrize("space", [BOX3, MIXED], ids=["continuous", "mixed"])
+def test_propose_matches_restarts_run_alone(space):
+    # MIXED refines its one continuous channel with the integer and
+    # categorical channels frozen at each candidate's values
+    for seed in range(4):
+        records = random_records(space, 25, np.random.default_rng(seed))
+        model = fit_gp(space, records)
+        seen = {r.key for r in records}
+        got = propose(model, space, 5, 2.0, np.random.default_rng(100 + seed), seen, restarts=3)
+        want, _ = reference_propose(model, space, 5, 2.0, np.random.default_rng(100 + seed), seen, 3)
+        assert [(p.values, key) for p, key in got] == [(p.values, key) for p, key in want], f"seed {seed}"
+
+
+def test_propose_posterior_calls_follow_longest_simplex():
+    records = random_records(BOX3, 25, np.random.default_rng(11))
+    model = fit_gp(BOX3, records)
+    rows_per_call: list[int] = []
+    posterior_many = model.posterior_many
+
+    def counting(query):
+        rows_per_call.append(len(query))
+        return posterior_many(query)
+
+    model.posterior_many = counting
+    propose(model, BOX3, 5, 2.0, np.random.default_rng(12), set(), restarts=3)
+    del model.posterior_many
+    _, steps = reference_propose(model, BOX3, 5, 2.0, np.random.default_rng(12), set(), 3)
+    assert len(steps) == 3 and sum(steps) > max(steps)
+    # the candidate set, then one call per lockstep step
+    assert len(rows_per_call) == 1 + max(steps)
+    assert rows_per_call[0] == 256
 
 
 # -- solver binding ---------------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from helpers import strip_wall_time
+from tunekit import cli
 from tunekit.cli import main
+from tunekit.objectives import build_objective
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -76,6 +78,36 @@ def test_tune_bad_solver_params_exit_1(tmp_path: Path):
     result = run_cli("tune", "--config", str(config), "--out", str(tmp_path / "o2"))
     assert result.exit_code == 1
     assert "warp" in result.output
+
+
+def test_tune_bad_objective_spec_exit_1(tmp_path: Path):
+    config = write_config(tmp_path / "cfg.json", objective={"oracle": {}})
+    result = run_cli("tune", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 1
+    assert "oracle" in result.output
+
+
+def test_tune_and_bench_build_each_objective_once(tmp_path: Path, monkeypatch):
+    built: list[int] = []
+
+    def counting_build(spec, space, seed=0):
+        built.append(seed)
+        return build_objective(spec, space, seed)
+
+    monkeypatch.setattr(cli, "build_objective", counting_build)
+    config = write_config(tmp_path / "cfg.json")
+    result = run_cli("tune", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 0, result.output
+    assert built == [3]
+    built.clear()
+    config = write_config(
+        tmp_path / "cfg2.json",
+        solvers=[{"type": "random"}, {"type": "lhs", "params": {"n": 20}}],
+        budget={"evaluations": 5, "concurrency": 1},
+    )
+    result = run_cli("bench", "--config", str(config), "--seeds", "2", "--out", str(tmp_path / "b"))
+    assert result.exit_code == 0, result.output
+    assert built == [3, 4]  # one per seed, shared by both solver setups
 
 
 def test_tune_missing_external_command_is_data_not_crash(tmp_path: Path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import reference_nm_minimize
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.solvers.direct import (
@@ -19,7 +20,7 @@ from tunekit.solvers.direct import (
     pareto_select,
     split_box,
 )
-from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize
+from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize, nm_minimize_many
 from tunekit.space import ContinuousVariable, Point, SearchSpace
 from tunekit.trials import Budget, TrialRecord
 
@@ -203,6 +204,35 @@ def test_nm_quadratic_convergence_across_seeds():
         if best_f <= 1e-6 and iters <= 500:
             hits += 1
     assert hits == 10
+
+
+def test_nm_minimize_many_matches_each_start_run_alone():
+    rng = np.random.default_rng(4)
+    targets = rng.uniform(0.2, 0.8, (4, 3))
+    starts = rng.uniform(0.0, 1.0, (4, 3))
+
+    def value(owner: int, x: np.ndarray) -> float:
+        if owner == 3:
+            return 1.0  # flat: its simplex stops after the first iteration
+        return float(np.sum((x - targets[owner]) ** 2) * (owner + 1))
+
+    for max_iters in (0, 1, 7, 60):
+        calls: list[int] = []
+
+        def fn_rows(rows: np.ndarray, owners: np.ndarray) -> list[float]:
+            calls.append(len(rows))
+            return [value(int(o), x) for o, x in zip(owners, rows)]
+
+        got = nm_minimize_many(fn_rows, starts, edge=0.1, max_iters=max_iters)
+        steps = []
+        for owner, (x, f, iters) in enumerate(got):
+            want_x, want_f, want_iters, n_steps = reference_nm_minimize(
+                lambda x: value(owner, x), starts[owner], 0.1, max_iters
+            )
+            steps.append(n_steps)
+            assert (x is None and want_x is None) or np.array_equal(x, want_x)
+            assert (f, iters) == (want_f, want_iters)
+        assert len(calls) == max(steps)
 
 
 def test_degenerate_simplex_reinitializes():

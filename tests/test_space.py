@@ -21,6 +21,7 @@ from tunekit.space import (
     encode,
     is_valid,
     mixed_sqdist_matrix,
+    snap_encoded,
     validate_point,
 )
 
@@ -157,6 +158,27 @@ def test_distance_categorical_mismatch():
     assert distance(space, Point([0.5, "a"]), Point([0.5, "b"])) == pytest.approx(1.0)
 
 
+def test_snap_encoded_ties_and_clipping():
+    space = SearchSpace(
+        [
+            IntegerVariable("k", 0, 4),
+            CategoricalVariable("c", ("a", "b", "c")),
+            ContinuousVariable("x", -1.0, 3.0),
+        ]
+    )
+    # k: 0.5, 1.5 and 2.5 exactly round half up; c: -0.5 and 2.5 are ties,
+    # 3.7 clips; x: below and above the box clip to its walls
+    rows = np.array([[0.125, -0.5, -0.2], [0.375, 0.5, 1.3], [0.625, 2.5, 0.5], [1.4, 3.7, 0.0]])
+    snapped = snap_encoded(space, rows)
+    for row, got in zip(rows, snapped):
+        assert got.tobytes() == encode(space, decode(space, row)).tobytes()
+    assert snapped[:, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert snapped[:, 1].tolist() == [0.0, 1.0, 2.0, 2.0]
+    assert snapped[:, 2].tolist() == [0.0, 1.0, 0.5, 0.0]
+    with pytest.raises(ArityMismatchError):
+        snap_encoded(space, rows[:, :2])
+
+
 # -- property tests ---------------------------------------------------------------
 
 
@@ -241,3 +263,19 @@ def test_distance_matrix_matches_scalar_oracle(space, seed):
             expected = encoded_distance(space, enc[i], enc[j])
             assert np.sqrt(sq[i, j]) == pytest.approx(expected, abs=1e-12)
             assert distance(space, a, b) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_space_strategy(), st.integers(0, 2**32 - 1))
+def test_snap_encoded_matches_point_round_trip(space, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-0.5, 1.5, size=(12, len(space)))  # clipped on both sides
+    for i, var in enumerate(space.variables):
+        if isinstance(var, IntegerVariable) and var.hi > var.lo:
+            rows[:4, i] = (np.arange(4) + 0.5) / (var.hi - var.lo)  # at or next to a tie
+        elif isinstance(var, CategoricalVariable):
+            rows[:4, i] = np.arange(4) - 0.5
+            rows[4:8, i] = rng.uniform(-1.0, len(var.levels) + 1.0, 4)
+    snapped = snap_encoded(space, rows)
+    for row, got in zip(rows, snapped):
+        assert got.tobytes() == encode(space, decode(space, row)).tobytes()

@@ -9,9 +9,12 @@ import pytest
 
 from tunekit.cache import canonical_key
 from tunekit.space import ContinuousVariable, Point, SearchSpace
+from tunekit.manager import TuningManager
+from tunekit.solvers.samplers import RandomSearch
 from tunekit.trials import (
     PENALTY_OBJECTIVE,
     Budget,
+    EvaluationFailed,
     TrialRecord,
     TuningHistory,
 )
@@ -120,3 +123,24 @@ def test_best_record_ties_go_to_earliest():
     history = TuningHistory(SPACE)
     history.records = [ok_record(0.1, 1.0, 1), ok_record(0.2, 1.0, 2)]
     assert history.best_record().eval_id == 1
+
+
+def test_running_best_by_iteration_matches_rescan_with_failures():
+    def objective(p: Point, eval_id: int) -> float:
+        if eval_id <= 4 or eval_id % 3 == 0:
+            raise EvaluationFailed("boom")
+        return round(p.values[0], 1)  # ties between ok records
+
+    manager = TuningManager(SPACE)
+    manager.register_solver(RandomSearch(SPACE, seed=2, batch=4))
+    history = manager.run(objective, Budget(60))
+    assert history.status_counts()["fail"] > 0
+    iterations = sorted({r.iteration for r in history.records})
+    expected = []
+    for it in iterations:
+        ok = [r.objective for r in history.records if r.ok and r.iteration <= it]
+        if ok:
+            expected.append((it, min(ok)))
+    assert iterations[0] not in [it for it, _ in expected]  # the first batch only failed
+    assert history.best_by_iteration == expected
+    assert history.best_by_iteration[-1][1] == history.best_record().objective

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import time
@@ -28,9 +29,9 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _run_once(config: RunConfig, seed: int, objective: Objective) -> TuningHistory:
+def _run_once(config: RunConfig, seed: int, objective: Objective, solvers: list) -> TuningHistory:
     manager = TuningManager(config.space)
-    for setup, solver in instantiate_solvers(config, seed):
+    for setup, solver in solvers:
         solver_id = manager.register_solver(solver, share_in=setup.share)
         # label the records with the config's name for the solver
         solver.solver_id = setup.label or solver_id
@@ -51,12 +52,13 @@ def tune(config_path: str, out_dir: str | None, seed: int | None) -> None:
     try:
         config = load_run_config(config_path, out_override=out_dir, seed_override=seed)
         objective = build_objective(config.objective_spec, config.space, config.seed)
+        solvers = instantiate_solvers(config, config.seed)
     except (ConfigError, ValueError, KeyError) as exc:
         _fail(1, str(exc))
         return
 
     try:
-        history = _run_once(config, config.seed, objective)
+        history = _run_once(config, config.seed, objective, solvers)
         out = config.out_dir or Path(".")
         out.mkdir(parents=True, exist_ok=True)
         history.write_history_csv(out / "history.csv")
@@ -92,25 +94,25 @@ def bench(config_path: str, n_seeds: int, out_dir: str | None) -> None:
             build_objective(config.objective_spec, config.space, config.seed + i)
             for i in range(n_seeds)
         ]
+        # every setup runs alone, seeded as a config holding only that setup
+        solver_sets = [
+            [
+                instantiate_solvers(dataclasses.replace(config, solvers=(setup,)), config.seed + i)
+                for i in range(n_seeds)
+            ]
+            for setup in config.solvers
+        ]
     except (ConfigError, ValueError, KeyError) as exc:
         _fail(1, str(exc))
         return
 
     rows = []
     try:
-        for setup in config.solvers:
-            single = RunConfig(
-                space=config.space,
-                objective_spec=config.objective_spec,
-                budget=config.budget,
-                solvers=(setup,),
-                seed=config.seed,
-                out_dir=None,
-            )
-            for i in range(n_seeds):
+        for setup, per_seed in zip(config.solvers, solver_sets):
+            for i, solvers in enumerate(per_seed):
                 seed = config.seed + i
                 started = time.perf_counter()
-                history = _run_once(single, seed, objectives[i])
+                history = _run_once(config, seed, objectives[i], solvers)
                 wall_ms = int((time.perf_counter() - started) * 1000)
                 best = history.best_record()
                 rows.append(

@@ -24,33 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .solvers import SOLVER_TYPES, BayesConfig, HybridConfig, make_solver
+from .solvers import SOLVERS, make_solver
 from .space import CategoricalVariable, ContinuousVariable, IntegerVariable, SearchSpace
 from .trials import Budget
 
 
 class ConfigError(ValueError):
     pass
-
-
-_SIMPLE_SOLVER_PARAMS = {
-    "random": {"n", "batch"},
-    "lhs": {"n", "batch"},
-    "direct": set(),
-    "direct-nm": {"theta"},
-    "neldermead": {"edge", "max_iters"},
-}
-
-
-def _check_solver_params(solver_type: str, params: dict) -> None:
-    if solver_type == "hybrid":
-        HybridConfig(**params)
-    elif solver_type == "bayes":
-        BayesConfig(**params)
-    else:
-        unknown = set(params) - _SIMPLE_SOLVER_PARAMS[solver_type]
-        if unknown:
-            raise ConfigError(f"unknown {solver_type} params: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -112,19 +92,12 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
         setups = []
         for i, entry in enumerate(solver_entries):
             solver_type = entry.get("type")
-            if solver_type not in SOLVER_TYPES:
+            if solver_type not in SOLVERS:
                 raise ConfigError(f"unknown solver type {solver_type!r}")
-            params = dict(entry.get("params", {}))
-            try:
-                _check_solver_params(solver_type, params)
-            except (TypeError, ValueError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(f"bad {solver_type} params: {exc}") from None
             setups.append(
                 SolverSetup(
                     type=solver_type,
-                    params=params,
+                    params=dict(entry.get("params", {})),
                     share=bool(entry.get("share", True)),
                     label=entry.get("label", f"{solver_type}-{i}"),
                 )
@@ -158,7 +131,10 @@ def load_run_config(path: str | Path, **overrides) -> RunConfig:
 
 def instantiate_solvers(config: RunConfig, seed: int) -> list[tuple[SolverSetup, object]]:
     """Build one seeded solver per setup; LHS design size defaults to the
-    evaluation budget (sample size equals budget in the sampling protocols)."""
+    evaluation budget (sample size equals budget in the sampling protocols).
+
+    The solver's constructor checks its params: an unknown name or a bad value
+    raises ConfigError naming the solver type."""
     seeds = np.random.SeedSequence(seed).spawn(len(config.solvers))
     built = []
     for setup, seq in zip(config.solvers, seeds):
@@ -166,5 +142,9 @@ def instantiate_solvers(config: RunConfig, seed: int) -> list[tuple[SolverSetup,
         if setup.type == "lhs":
             params.setdefault("n", config.budget.max_evaluations)
         solver_seed = int(seq.generate_state(1)[0])
-        built.append((setup, make_solver(setup.type, config.space, solver_seed, params)))
+        try:
+            solver = make_solver(setup.type, config.space, solver_seed, params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {setup.type} params: {exc}") from None
+        built.append((setup, solver))
     return built

@@ -24,6 +24,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 from .cache import CacheKey, canonical_key
@@ -66,6 +67,22 @@ class Solver(ABC):
 
     def is_done(self) -> bool:
         return False
+
+
+def check_param(name: str, value, *, integer: bool, minimum: float, strict: bool = False) -> None:
+    """Raise ValueError naming the param unless value is a finite number (an
+    integer if `integer`), not a bool, that is >= minimum (> minimum if
+    `strict`). Solver constructors check the params of a run config with it."""
+    kind = Integral if integer else Real
+    ok = (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (isinstance(value, Integral) or math.isfinite(value))
+        and (value > minimum if strict else value >= minimum)
+    )
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what} {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 @dataclass

@@ -1,79 +1,65 @@
-"""Search method implementations and the type-name registry the CLI uses."""
+"""Search method implementations and the type-name table the CLI uses."""
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from ..space import SearchSpace
-from .bayes import BayesConfig, BayesSearch, GPFitError, GPModel, fit_gp, propose, trim_records
-from .direct import DirectSearch, Rect, longest_axis, pareto_select, split_box
-from .hybrid import (
-    GrowthEvent,
-    HybridConfig,
-    HybridSearch,
-    Member,
-    growth_update,
-    make_children,
-    pareto_front,
-    poll_points,
-    select_centers,
-)
-from .neldermead import NelderMeadSolver, SimplexSearch, nm_minimize
+from .bayes import BayesConfig, BayesSearch
+from .direct import DirectSearch
+from .hybrid import HybridConfig, HybridSearch
+from .neldermead import NelderMeadSolver
 from .samplers import LhsSearch, RandomSearch
 
-SOLVER_TYPES = ("random", "lhs", "hybrid", "bayes", "direct", "neldermead", "direct-nm")
+
+def hybrid_search(space: SearchSpace, seed: int, **params) -> HybridSearch:
+    return HybridSearch(space, seed, HybridConfig(**params))
+
+
+def bayes_search(space: SearchSpace, seed: int, **params) -> BayesSearch:
+    return BayesSearch(space, seed, BayesConfig(**params))
+
+
+def direct_search(space: SearchSpace, seed: int) -> DirectSearch:
+    return DirectSearch(space)
+
+
+def direct_nm_search(space: SearchSpace, seed: int, theta: float | None = None) -> DirectSearch:
+    """DIRECT that refines boxes smaller than theta (default 0.05 * sqrt(d)) by Nelder-Mead."""
+    if theta is None:
+        theta = 0.05 * math.sqrt(len(space.variables))
+    return DirectSearch(space, theta=theta)
+
+
+# Type name -> constructor called as (space, seed, **params). The constructor's
+# signature is the params schema: an unknown param raises TypeError and a bad
+# value ValueError.
+SOLVERS: dict[str, Callable] = {
+    "random": RandomSearch,
+    "lhs": LhsSearch,
+    "hybrid": hybrid_search,
+    "bayes": bayes_search,
+    "direct": direct_search,
+    "neldermead": NelderMeadSolver,
+    "direct-nm": direct_nm_search,
+}
 
 
 def make_solver(solver_type: str, space: SearchSpace, seed: int, params: dict | None = None):
     """Build a solver by its config type name."""
-    params = dict(params or {})
-    if solver_type == "random":
-        return RandomSearch(space, seed, n=params.pop("n", None), batch=params.pop("batch", None))
-    if solver_type == "lhs":
-        return LhsSearch(space, seed, n=params.pop("n"), batch=params.pop("batch", None))
-    if solver_type == "hybrid":
-        return HybridSearch(space, seed, HybridConfig(**params))
-    if solver_type == "bayes":
-        return BayesSearch(space, seed, BayesConfig(**params))
-    if solver_type == "direct":
-        return DirectSearch(space, theta=0.0)
-    if solver_type == "direct-nm":
-        theta = params.pop("theta", 0.05 * math.sqrt(len(space.variables)))
-        return DirectSearch(space, theta=theta)
-    if solver_type == "neldermead":
-        return NelderMeadSolver(
-            space, seed, edge=params.pop("edge", 0.1), max_iters=params.pop("max_iters", None)
-        )
-    raise ValueError(f"unknown solver type {solver_type!r}")
+    return SOLVERS[solver_type](space, seed, **(params or {}))
 
 
 __all__ = [
     "BayesConfig",
     "BayesSearch",
     "DirectSearch",
-    "GPFitError",
-    "GPModel",
-    "GrowthEvent",
     "HybridConfig",
     "HybridSearch",
     "LhsSearch",
-    "Member",
     "NelderMeadSolver",
     "RandomSearch",
-    "Rect",
-    "SOLVER_TYPES",
-    "SimplexSearch",
-    "fit_gp",
-    "growth_update",
-    "longest_axis",
-    "make_children",
+    "SOLVERS",
     "make_solver",
-    "nm_minimize",
-    "pareto_front",
-    "pareto_select",
-    "poll_points",
-    "propose",
-    "select_centers",
-    "split_box",
-    "trim_records",
 ]

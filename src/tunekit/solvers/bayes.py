@@ -257,6 +257,3 @@ class BayesSearch(Solver):
                 if rec.ok:
                     self._rows[rec.key] = encode(self._space, rec.point)
             self._seen.add(rec.key)
-
-    def is_done(self) -> bool:
-        return False

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache import CacheKey, canonical_key
-from ..manager import Solver
+from ..manager import Solver, check_param
 from ..space import CategoricalVariable, Point, SearchSpace, decode
 from ..trials import TrialRecord
 from .neldermead import SimplexSearch
@@ -125,9 +125,10 @@ class _RefineWait:
 
 
 class DirectSearch(Solver):
-    """theta <= 0 gives pure DIRECT; positive theta enables hybrid refinement."""
+    """theta = 0 gives pure DIRECT; positive theta enables hybrid refinement."""
 
     def __init__(self, space: SearchSpace, theta: float = 0.0):
+        check_param("theta", theta, integer=False, minimum=0)
         self._space = space
         self._theta = theta
         self._dims = len(space.variables)
@@ -247,9 +248,6 @@ class DirectSearch(Solver):
         self._new_rect(c_mid, h_mid, f_center=parent.f_center, best_value=parent.f_center)
         self._new_rect(c_hi, h_hi, f_center=split.hi_value, best_value=split.hi_value)
         parent.state = RETIRED
-
-    def is_done(self) -> bool:
-        return False
 
     @property
     def rects(self) -> list[Rect]:

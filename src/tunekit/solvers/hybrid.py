@@ -353,6 +353,3 @@ class HybridSearch(Solver):
                 member_keys.discard(self.population[worst_i].key)
                 self.population[worst_i] = self._member_from(rec)
                 member_keys.add(rec.key)
-
-    def is_done(self) -> bool:
-        return False

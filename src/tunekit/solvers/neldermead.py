@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..cache import CacheKey, canonical_key
-from ..manager import Solver
+from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_sample
 from ..space import Point, SearchSpace, decode, encode
 from ..trials import TrialRecord
@@ -216,6 +216,9 @@ class NelderMeadSolver(Solver):
         edge: float = 0.1,
         max_iters: int | None = None,
     ):
+        check_param("edge", edge, integer=False, minimum=0, strict=True)
+        if max_iters is not None:
+            check_param("max_iters", max_iters, integer=True, minimum=0)
         self._space = space
         self._cont = space.continuous_indices
         if not self._cont:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..manager import Solver
+from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_sample, random_sample
 from ..space import Point, SearchSpace
 from ..trials import TrialRecord
@@ -14,6 +14,9 @@ class RandomSearch(Solver):
     """Draws fresh uniform points every ask; stops after n points if n is set."""
 
     def __init__(self, space: SearchSpace, seed: int, n: int | None = None, batch: int | None = None):
+        for name, value in (("n", n), ("batch", batch)):
+            if value is not None:
+                check_param(name, value, integer=True, minimum=1)
         self._space = space
         self._rng = np.random.default_rng(seed)
         self._remaining = n
@@ -44,6 +47,9 @@ class LhsSearch(Solver):
     """Serves a pre-built Latin hypercube design of size n, then finishes."""
 
     def __init__(self, space: SearchSpace, seed: int, n: int, batch: int | None = None):
+        check_param("n", n, integer=True, minimum=1)
+        if batch is not None:
+            check_param("batch", batch, integer=True, minimum=1)
         self._points = lhs_sample(space, SampleRequest(n, seed))
         self._cursor = 0
         self._batch = batch

@@ -200,7 +200,11 @@ def _round_half_up(x: float) -> int:
 
 def decode(space: SearchSpace, coords: Sequence[float]) -> Point:
     """Inverse of encode with snapping: clip continuous channels, round-half-up
-    then clip integer and categorical channels. Always returns a valid point."""
+    then clip integer and categorical channels. Always returns a valid point.
+
+    decode(encode(p)) returns integer and categorical values unchanged, but a
+    continuous value only to within a few ulps of its bounds (at most
+    4 * eps * max(|lo|, |hi|)): scaling to [0, 1] and back rounds twice."""
     if len(coords) != len(space.variables):
         raise ArityMismatchError(
             f"coordinate vector has {len(coords)} channels for {len(space.variables)} variables"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from helpers import strip_wall_time
@@ -78,6 +79,34 @@ def test_tune_bad_solver_params_exit_1(tmp_path: Path):
     result = run_cli("tune", "--config", str(config), "--out", str(tmp_path / "o2"))
     assert result.exit_code == 1
     assert "warp" in result.output
+
+
+@pytest.mark.parametrize(
+    "solver_type, params",
+    [
+        ("lhs", {"n": "abc"}),
+        ("random", {"n": 0}),
+        ("random", {"batch": 0}),
+        ("neldermead", {"max_iters": "x"}),
+        ("direct-nm", {"theta": "x"}),
+        ("lhs", {"batch": -3}),
+        ("neldermead", {"edge": 0}),
+        ("random", {"batch": True}),
+        ("direct-nm", {"theta": -1.0}),
+    ],
+)
+def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path, solver_type, params):
+    config = write_config(
+        tmp_path / "cfg.json",
+        solvers=[{"type": solver_type, "params": params}],
+        budget={"evaluations": 30, "concurrency": 1},
+    )
+    out = tmp_path / "o"
+    result = run_cli("tune", "--config", str(config), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    (name,) = params
+    assert f"bad {solver_type} params: {name}" in result.output
+    assert not out.exists()
 
 
 def test_tune_bad_objective_spec_exit_1(tmp_path: Path):

@@ -26,7 +26,7 @@ from click.testing import CliRunner
 
 from helpers import strip_wall_time
 from tunekit.cli import main
-from tunekit.solvers import SOLVER_TYPES
+from tunekit.solvers import SOLVERS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
@@ -62,7 +62,7 @@ def test_goldens_cover_every_solver_type_sharing_and_cache_hits():
         for name in CONFIGS
         for entry in json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))["solvers"]
     ]
-    assert {e["type"] for e in entries} == set(SOLVER_TYPES)
+    assert {e["type"] for e in entries} == set(SOLVERS)
     assert any(e.get("share") is False for e in entries)
     assert any(run_config(name, 1)[1]["cache_hits"] > 0 for name in CONFIGS)
 

@@ -3,12 +3,17 @@ and mixed-space support for every registered solver type."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 from helpers import counted
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
-from tunekit.solvers import SOLVER_TYPES, make_solver
+from tunekit.solvers import SOLVERS, BayesConfig, HybridConfig, make_solver
 from tunekit.space import (
     CategoricalVariable,
     ContinuousVariable,
@@ -42,7 +47,42 @@ def _objective(point: Point, eval_id: int) -> float:
     return total
 
 
-@pytest.mark.parametrize("solver_type", SOLVER_TYPES)
+@pytest.mark.parametrize("solver_type", SOLVERS)
+def test_unknown_param_raises_type_error_naming_it(solver_type):
+    with pytest.raises(TypeError, match="warp"):
+        make_solver(solver_type, CONT2, seed=7, params={**_params(solver_type), "warp": 9})
+
+
+def _readme_params() -> dict[str, set[str]]:
+    """Param names per type from README's "Solver `params` by type" list: the
+    backquoted words before a bullet's colon are types, those after it params."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Solver `params` by type", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for bullet in re.split(r"\n(?=- )", section):
+        head, _, tail = bullet.partition(":")
+        for solver_type in re.findall(r"`([^`]+)`", head):
+            documented[solver_type] = set(re.findall(r"`([^`]+)`", tail))
+    return documented
+
+
+def _accepted_params(solver_type: str) -> set[str]:
+    config_class = {"hybrid": HybridConfig, "bayes": BayesConfig}.get(solver_type)
+    if config_class is not None:
+        return {f.name for f in dataclasses.fields(config_class)}
+    params = inspect.signature(SOLVERS[solver_type]).parameters
+    assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), solver_type
+    return set(params) - {"space", "seed"}
+
+
+def test_readme_lists_exactly_the_params_each_constructor_accepts():
+    documented = _readme_params()
+    assert set(documented) == set(SOLVERS)
+    for solver_type in SOLVERS:
+        assert documented[solver_type] == _accepted_params(solver_type), solver_type
+
+
+@pytest.mark.parametrize("solver_type", SOLVERS)
 def test_ask_respects_cap(solver_type):
     solver = make_solver(solver_type, CONT2, seed=7, params=_params(solver_type))
     for cap in (3, 1, 5):
@@ -64,7 +104,7 @@ def test_ask_respects_cap(solver_type):
             solver.tell(records)
 
 
-@pytest.mark.parametrize("solver_type", SOLVER_TYPES)
+@pytest.mark.parametrize("solver_type", SOLVERS)
 def test_foreign_records_tolerated(solver_type):
     solver = make_solver(solver_type, CONT2, seed=7, params=_params(solver_type))
     points = solver.ask(5)
@@ -94,7 +134,7 @@ def test_foreign_records_tolerated(solver_type):
     solver.ask(5)  # still functional afterwards
 
 
-@pytest.mark.parametrize("solver_type", SOLVER_TYPES)
+@pytest.mark.parametrize("solver_type", SOLVERS)
 def test_mixed_space_end_to_end(solver_type):
     solver = make_solver(solver_type, MIXED, seed=11, params=_params(solver_type))
     manager = TuningManager(MIXED, max_stall_iterations=5)
@@ -110,7 +150,7 @@ def test_full_ensemble_shares_and_stays_deterministic():
     outcomes = {}
     for k in (1, 8):
         manager = TuningManager(space)
-        for i, solver_type in enumerate(SOLVER_TYPES):
+        for i, solver_type in enumerate(SOLVERS):
             params = {"n": 30, "batch": 5} if solver_type in ("random", "lhs") else {}
             manager.register_solver(
                 make_solver(solver_type, space, seed=100 + i, params=params), share_in=True

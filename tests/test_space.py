@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import encoded_distance
@@ -224,11 +224,18 @@ def _random_point(space: SearchSpace, rng: np.random.Generator) -> Point:
 
 @settings(max_examples=60, deadline=None)
 @given(_space_strategy(), st.integers(0, 2**32 - 1))
+# seed 53086 draws 8.261730362708144, which comes back as 8.261730362708146
+@example(SearchSpace([ContinuousVariable("c0", 1.1, 97.475)]), 53086)
 def test_decode_encode_identity(space, seed):
     rng = np.random.default_rng(seed)
     p = _random_point(space, rng)
     assert is_valid(space, p)
-    assert decode(space, encode(space, p)).values == p.values
+    back = decode(space, encode(space, p)).values
+    for var, before, after in zip(space.variables, p.values, back):
+        if isinstance(var, ContinuousVariable):
+            assert abs(after - before) <= 4 * np.finfo(float).eps * max(abs(var.lo), abs(var.hi))
+        else:
+            assert after == before
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,12 +5,18 @@ must print one line: {"objective": number} with an optional "status" field.
 Exit code 0 plus parseable output means ok; anything else becomes a failure
 status (nonzero_exit, timeout, or parse_error) rather than an exception
 escaping to the manager.
+
+The process starts in a session of its own, and when the evaluation ends,
+however it ends, its whole process group is killed, so processes it started
+in the background cannot outlive it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import signal
 import subprocess
 
 from ..space import Point, SearchSpace
@@ -28,20 +34,25 @@ class ExternalObjective:
     def __call__(self, p: Point, eval_id: int = 0) -> float:
         payload = json.dumps({"params": self.space.to_dict(p)})
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 self.argv,
-                input=payload + "\n",
-                capture_output=True,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=self.timeout_ms / 1000.0,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            raise EvaluationFailed("timeout") from None
         except OSError:  # command missing or not executable: it never exited 0
             raise EvaluationFailed("nonzero_exit") from None
+        try:
+            stdout, _ = proc.communicate(payload + "\n", timeout=self.timeout_ms / 1000.0)
+        except subprocess.TimeoutExpired:
+            raise EvaluationFailed("timeout") from None
+        finally:
+            _kill_group(proc)
         if proc.returncode != 0:
             raise EvaluationFailed("nonzero_exit")
-        line = proc.stdout.splitlines()[0] if proc.stdout.splitlines() else ""
+        line = stdout.splitlines()[0] if stdout.splitlines() else ""
         try:
             reply = json.loads(line)
             objective = reply["objective"]
@@ -53,3 +64,12 @@ class ExternalObjective:
         if status != "ok":
             raise EvaluationFailed(str(status))
         return float(objective)
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill every process left in proc's process group, then reap proc."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the group is already empty
+        pass
+    proc.communicate()

@@ -61,25 +61,48 @@ def lhs_design(space: SearchSpace, req: SampleRequest) -> np.ndarray:
     return design
 
 
-def lhs_sample(space: SearchSpace, req: SampleRequest) -> list[Point]:
-    """Latin hypercube sample: one point per stratum for every continuous and
-    integer variable, levels balanced for categorical variables.
+def lhs_point(space: SearchSpace, row: np.ndarray) -> Point:
+    """The point of one lhs_design row.
 
     Integer variables map the stratified draw through the uniform-integer
     quantile (lo + floor(u * range_size)), so when n does not exceed the range
     size distinct strata land on distinct integers.
     """
-    design = lhs_design(space, req)
-    points = []
-    for row in design:
-        values = []
-        for var, u in zip(space.variables, row):
-            if isinstance(var, ContinuousVariable):
-                values.append(var.lo + u * (var.hi - var.lo))
-            elif isinstance(var, IntegerVariable):
-                size = var.hi - var.lo + 1
-                values.append(min(var.lo + int(u * size), var.hi))
+    values = []
+    for var, u in zip(space.variables, row):
+        if isinstance(var, ContinuousVariable):
+            values.append(var.lo + u * (var.hi - var.lo))
+        elif isinstance(var, IntegerVariable):
+            size = var.hi - var.lo + 1
+            values.append(min(var.lo + int(u * size), var.hi))
+        else:
+            values.append(var.levels[int(u)])
+    return Point(values)
+
+
+def lhs_sample(space: SearchSpace, req: SampleRequest) -> list[Point]:
+    """Latin hypercube sample: one point per stratum for every continuous and
+    integer variable, levels balanced for categorical variables (see
+    lhs_point for how a design row becomes a point)."""
+    return [lhs_point(space, row) for row in lhs_design(space, req)]
+
+
+def lhs_encoded(space: SearchSpace, design: np.ndarray) -> np.ndarray:
+    """encode(space, lhs_point(space, row)) for every design row, bit for bit,
+    in one numpy pass per variable: each channel repeats lhs_point's and
+    encode's arithmetic in the same order, without building or validating a
+    Point per row."""
+    out = np.empty_like(design)
+    for j, var in enumerate(space.variables):
+        u = design[:, j]
+        if isinstance(var, ContinuousVariable):
+            out[:, j] = (var.lo + u * (var.hi - var.lo) - var.lo) / (var.hi - var.lo)
+        elif isinstance(var, IntegerVariable):
+            if var.hi == var.lo:
+                out[:, j] = 0.0
             else:
-                values.append(var.levels[int(u)])
-        points.append(Point(values))
-    return points
+                k = np.minimum(var.lo + np.floor(u * (var.hi - var.lo + 1)), var.hi)
+                out[:, j] = (k - var.lo) / (var.hi - var.lo)
+        else:
+            out[:, j] = np.floor(u)
+    return out

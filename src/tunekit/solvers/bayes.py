@@ -5,10 +5,19 @@ The surrogate is a squared-exponential kernel over the mixed distance metric
 Hyperparameters come from data heuristics: length scale = median pairwise
 distance, signal variance = sample variance of the outputs, noise variance =
 1e-6 of the signal variance. Proposals minimize LCB(x) = mu(x) - kappa *
-sigma(x) over a fresh LHS candidate set, with the best candidates refined by
-a short simplex search on the continuous channels. The refinement simplexes
-run in lockstep: each step snaps the pending points of all of them to valid
-points and scores them with one posterior call.
+sigma(x) over a pool: a fresh LHS candidate set plus its best candidates
+refined by a short simplex search on the continuous channels. The refinement
+simplexes run in lockstep: each step snaps the pending points of all of them
+to valid points and scores them with one posterior call.
+
+A batch is chosen greedily with the "Kriging believer" of Ginsbourger, Le
+Riche & Carraro (2010), "Kriging is well-suited to parallelize optimization":
+each pick joins the GP as a fantasy observation whose value is its posterior
+mean. That leaves the mean unchanged and shrinks sigma near the pick, so the
+next pick is drawn away from it instead of crowding the same basin. A fantasy
+extends the Cholesky factor by one row (the structure of GPML Alg. 2.1), an
+O(n^2) update of the pool's variances instead of an O(n^3) refit. The pool and
+its refinement are built once per batch, not again after each fantasy.
 """
 
 from __future__ import annotations
@@ -17,11 +26,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ..cache import CacheKey, canonical_key
-from ..manager import Solver
-from ..sampling import SampleRequest, lhs_sample
+from ..manager import Solver, check_param
+from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_point, lhs_sample
 from ..space import Point, SearchSpace, decode, encode, mixed_sqdist_matrix, snap_encoded
 from ..trials import TrialRecord
 from .neldermead import nm_minimize_many
@@ -45,14 +53,11 @@ class BayesConfig:
     restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.init < 2:
-            raise ValueError("init size must be >= 2")
-        if self.cap < self.init:
-            raise ValueError("cap must be >= init size")
-        if self.batch < 1 or self.restarts < 0:
-            raise ValueError("batch must be >= 1 and restarts >= 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        check_param("init", self.init, integer=True, minimum=2)
+        check_param("batch", self.batch, integer=True, minimum=1)
+        check_param("kappa", self.kappa, integer=False, minimum=0)
+        check_param("cap", self.cap, integer=True, minimum=self.init)
+        check_param("restarts", self.restarts, integer=True, minimum=0)
 
 
 def trim_records(records: Sequence[TrialRecord], cap: int) -> list[TrialRecord]:
@@ -80,6 +85,8 @@ class GPModel:
         signal_var: float,
         noise_var: float,
     ):
+        import scipy.linalg  # deferred: costs a fifth of a second on every import of tunekit
+
         self.space = space
         self.train_x = train_x
         self.prior_mean = float(np.mean(train_y))
@@ -116,6 +123,8 @@ class GPModel:
         therefore takes one dot product per row: a matrix-vector product
         `k_star @ alpha` changes its summation order, and so its last bits,
         with the number of rows."""
+        import scipy.linalg
+
         k_star = self._kernel(query, self.train_x)
         mean = self.prior_mean + (k_star[:, None, :] @ self._alpha[:, None])[:, 0, 0]
         solved = scipy.linalg.cho_solve(self._factor, k_star.T)
@@ -159,6 +168,39 @@ def fit_gp(
     return GPModel(space, train_x, train_y, length_scale, signal_var, NOISE_FACTOR * signal_var)
 
 
+class BelieverVariance:
+    """Posterior variances over fixed encoded rows as Kriging-believer
+    fantasies join the GP.
+
+    A fantasy at rows[b] is an observation there with the model's jitter as
+    its noise. Conditioning on it subtracts u(x)^2 from every variance, with
+    u(x) = cov(x, b) / sqrt(cov(b, b) + jitter) and
+    cov(x, b) = k(x, b) - k(x, X) w - sum over earlier fantasies of u'(x) u'(b),
+    where w solves the training factor against k(X, b): one O(n^2) solve per
+    fantasy on top of k(rows, X), computed once. The fantasy's value is the
+    posterior mean, so the mean stays as it was."""
+
+    def __init__(self, model: GPModel, rows: np.ndarray, var: np.ndarray):
+        self._model = model
+        self._rows = rows
+        self._k_rows = model._kernel(rows, model.train_x)
+        self._u: list[np.ndarray] = []
+        self.var = var
+
+    def add(self, b: int) -> None:
+        """Condition on a fantasy observation at rows[b]."""
+        import scipy.linalg
+
+        model = self._model
+        w = scipy.linalg.cho_solve(model._factor, self._k_rows[b])
+        cov = model._kernel(self._rows, self._rows[b : b + 1])[:, 0] - self._k_rows @ w
+        for u in self._u:
+            cov -= u * u[b]
+        u = cov / np.sqrt(max(cov[b], 0.0) + model.jitter)
+        self._u.append(u)
+        self.var = np.maximum(self.var - u * u, 0.0)
+
+
 def propose(
     model: GPModel,
     space: SearchSpace,
@@ -168,53 +210,78 @@ def propose(
     seen: set[CacheKey],
     restarts: int,
 ) -> list[tuple[Point, CacheKey]]:
-    """m best distinct unseen points under LCB, with their keys, over a fresh
-    LHS candidate set. The `restarts` best candidates are refined by simplex
-    searches on their continuous channels, run in lockstep: each step snaps
-    every pending point of every search as decode then encode would and
-    scores them all with one posterior call."""
-    candidates = lhs_sample(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
-    encoded = np.stack([encode(space, p) for p in candidates])
-    mean, var = model.posterior_many(encoded)
-    lcb = mean - kappa * np.sqrt(var)
-    order = np.argsort(lcb, kind="stable")
+    """Up to m distinct unseen points under LCB, with their keys.
 
-    pool: list[tuple[float, int, Point]] = [
-        (float(lcb[i]), rank, candidates[i]) for rank, i in enumerate(order)
-    ]
+    The pool is a fresh LHS candidate set plus its `restarts` best candidates
+    refined by simplex searches on their continuous channels, run in
+    lockstep: each step snaps every pending point of every search as decode
+    then encode would and scores them all with one posterior call. The
+    refined points are scored with one more call. Picks follow the
+    (LCB, rank) order, rank being a candidate's place in the first LCB order
+    and the refined points ranking ahead of all candidates; after each pick
+    the pool's variances are conditioned on it as a believer fantasy, and
+    the LCB order is taken again. A pool point is built and keyed only when
+    it is considered."""
+    design = lhs_design(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
+    rows = lhs_encoded(space, design)
+    mean, var = model.posterior_many(rows)
+    order = np.argsort(mean - kappa * np.sqrt(var), kind="stable")
+    ranks = np.empty(len(order), dtype=int)
+    ranks[order] = np.arange(len(order))
+    points: list[Point | None] = [None] * len(order)
+
     cont = space.continuous_indices
     if cont:
-        templates = encoded[order[:restarts]]
+        templates = rows[order[:restarts]]
 
-        def refined_lcb(rows: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        def refined_lcb(query: np.ndarray, owners: np.ndarray) -> np.ndarray:
             merged = templates[owners]
-            merged[:, cont] = rows
+            merged[:, cont] = query
             mean, var = model.posterior_many(snap_encoded(space, merged))
             return mean - kappa * np.sqrt(var)
 
         refined = nm_minimize_many(
             refined_lcb, templates[:, cont], edge=0.1, max_iters=REFINE_MAX_ITERS
         )
-        for extra, (best_u, best_f, _) in enumerate(refined):
-            merged = templates[extra].copy()
-            merged[cont] = best_u
-            pool.append((best_f, -restarts + extra, decode(space, merged)))
+        if refined:
+            merged = templates.copy()
+            merged[:, cont] = [best_u for best_u, _, _ in refined]
+            snapped = snap_encoded(space, merged)
+            refined_mean, refined_var = model.posterior_many(snapped)
+            rows = np.concatenate([rows, snapped])
+            mean = np.concatenate([mean, refined_mean])
+            var = np.concatenate([var, refined_var])
+            ranks = np.concatenate([ranks, -restarts + np.arange(len(refined))])
+            points += [decode(space, row) for row in merged]
 
+    believer = BelieverVariance(model, rows, var) if m > 1 else None
+    considered = np.zeros(len(rows), dtype=bool)
     chosen: list[tuple[Point, CacheKey]] = []
     used: set[CacheKey] = set(seen)
-    for _, _, point in sorted(pool, key=lambda t: (t[0], t[1])):
-        key = canonical_key(space, point)
-        if key in used:
-            continue
+    while len(chosen) < m:
+        lcb = mean - kappa * np.sqrt(var)
+        for i in np.lexsort((ranks, lcb)):
+            if considered[i]:
+                continue
+            considered[i] = True
+            point = lhs_point(space, design[i]) if points[i] is None else points[i]
+            key = canonical_key(space, point)
+            if key not in used:
+                break
+        else:
+            break  # every pool point is taken or seen
         used.add(key)
         chosen.append((point, key))
-        if len(chosen) >= m:
-            break
+        if len(chosen) < m:
+            believer.add(i)
+            var = believer.var
     return chosen
 
 
 class BayesSearch(Solver):
     def __init__(self, space: SearchSpace, seed: int, config: BayesConfig | None = None):
+        import scipy.linalg  # noqa: F401  loaded with the solver, so a run's set-up pays for it
+
         self._space = space
         self.config = config or BayesConfig()
         self._rng = np.random.default_rng(seed)

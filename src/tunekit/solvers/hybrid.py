@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache import CacheKey, canonical_key
-from ..manager import Solver
+from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_sample
 from ..space import CategoricalVariable, Point, SearchSpace, decode, encode, mixed_sqdist_matrix
 from ..trials import TrialRecord
@@ -40,16 +40,23 @@ class HybridConfig:
     elites: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 <= self.centers < self.population:
-            raise ValueError("need 0 <= centers < population")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.delta_init <= 0:
-            raise ValueError("delta_init must be positive")
-        if not 0 <= self.elites < self.population:
-            raise ValueError("need 0 <= elites < population")
-        if self.tournament < 1:
-            raise ValueError("tournament size must be >= 1")
+        check_param("population", self.population, integer=True, minimum=1)
+        check_param("centers", self.centers, integer=True, minimum=0)
+        check_param("elites", self.elites, integer=True, minimum=0)
+        check_param("tournament", self.tournament, integer=True, minimum=1)
+        check_param("delta_init", self.delta_init, integer=False, minimum=0, strict=True)
+        check_param("alpha", self.alpha, integer=False, minimum=0, strict=True)
+        check_param("crossover_prob", self.crossover_prob, integer=False, minimum=0)
+        check_param("mutation_prob", self.mutation_prob, integer=False, minimum=0)
+        if self.centers >= self.population:
+            raise ValueError(f"centers must be below population ({self.population}), got {self.centers}")
+        if self.elites >= self.population:
+            raise ValueError(f"elites must be below population ({self.population}), got {self.elites}")
+        if self.alpha >= 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        for name in ("crossover_prob", "mutation_prob"):
+            if getattr(self, name) > 1:
+                raise ValueError(f"{name} must be <= 1, got {getattr(self, name)!r}")
 
 
 @dataclass(eq=False)

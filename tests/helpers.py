@@ -63,9 +63,40 @@ def reference_nm_minimize(fn, x0: np.ndarray, edge: float, max_iters: int):
     return search.best_x, search.best_f, search.iterations, steps
 
 
+def dense_believer_posterior(model: GPModel, space: SearchSpace, fantasies: np.ndarray, query: np.ndarray):
+    """Kriging-believer posterior rebuilt by dense refits: each fantasy row in
+    turn joins the training set with the refit's posterior mean there as its
+    value; the length scale, signal variance, jitter and prior mean stay the
+    model's. Returns (mean, variance) at the query rows of the last refit."""
+    num, cat = space.numeric_indices, space.categorical_indices
+
+    def kern(a, b):
+        sq = ((a[:, None, num] - b[None, :, num]) ** 2).sum(axis=-1)
+        sq = sq + (a[:, None, cat] != b[None, :, cat]).sum(axis=-1)
+        return model.signal_var * np.exp(-sq / (2 * model.length_scale**2))
+
+    def refit(x, y, q):
+        a_mat = kern(x, x) + model.jitter * np.eye(len(x))
+        k_star = kern(q, x)
+        mean = model.prior_mean + k_star @ np.linalg.solve(a_mat, y)
+        var = model.signal_var - np.einsum("ij,ij->i", k_star, np.linalg.solve(a_mat, k_star.T).T)
+        return mean, np.maximum(var, 0.0)
+
+    x = model.train_x
+    y = (kern(x, x) + model.jitter * np.eye(len(x))) @ model._alpha  # centered targets of the fit
+    for row in fantasies:
+        mean, _ = refit(x, y, row[None, :])
+        x = np.vstack([x, row])
+        y = np.append(y, mean[0] - model.prior_mean)
+    return refit(x, y, query)
+
+
 def reference_propose(model: GPModel, space: SearchSpace, m: int, kappa: float, rng, seen, restarts: int):
     """Bayes proposals with each refinement simplex run alone over a one-row
-    LCB of encode(decode(...)); returns (proposals, steps per restart)."""
+    LCB of encode(decode(...)). The first pick follows the (LCB, rank) order
+    under the model; each later one the order under dense_believer_posterior
+    with every earlier pick as a fantasy. Returns (proposals, steps per
+    restart)."""
 
     def lcb_of(encoded: np.ndarray) -> float:
         mean, var = model.posterior_many(encoded[None, :])
@@ -76,7 +107,8 @@ def reference_propose(model: GPModel, space: SearchSpace, m: int, kappa: float, 
     mean, var = model.posterior_many(encoded)
     lcb = mean - kappa * np.sqrt(var)
     order = np.argsort(lcb, kind="stable")
-    pool = [(float(lcb[i]), rank, candidates[i]) for rank, i in enumerate(order)]
+    # (LCB under the model, rank, point, encoded row)
+    pool = [(float(lcb[i]), rank, candidates[i], encoded[i]) for rank, i in enumerate(order)]
     cont = space.continuous_indices
     steps = []
     if cont:
@@ -94,18 +126,26 @@ def reference_propose(model: GPModel, space: SearchSpace, m: int, kappa: float, 
             steps.append(n_steps)
             merged = template.copy()
             merged[cont] = best_u
-            pool.append((best_f, -restarts + extra, decode(space, merged)))
+            point = decode(space, merged)
+            pool.append((best_f, -restarts + extra, point, encode(space, point)))
 
-    chosen = []
+    rows = np.stack([row for _, _, _, row in pool])
+    scores = [f for f, _, _, _ in pool]
+    chosen, picks = [], []
     used = set(seen)
-    for _, _, point in sorted(pool, key=lambda t: (t[0], t[1])):
-        key = canonical_key(space, point)
-        if key in used:
-            continue
-        used.add(key)
-        chosen.append((point, key))
-        if len(chosen) >= m:
+    while len(chosen) < m:
+        if picks:
+            mean, var = dense_believer_posterior(model, space, rows[picks], rows)
+            scores = list(mean - kappa * np.sqrt(var))
+        for i in sorted(range(len(pool)), key=lambda i: (scores[i], pool[i][1])):
+            key = canonical_key(space, pool[i][2])
+            if key not in used:
+                break
+        else:
             break
+        used.add(key)
+        chosen.append((pool[i][2], key))
+        picks.append(i)
     return chosen, steps
 
 

@@ -4,11 +4,13 @@ hyperparameter fallbacks, acquisition behavior, and Branin quality."""
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import dense_posterior_oracle, reference_propose
+from helpers import dense_believer_posterior, dense_posterior_oracle, reference_propose
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
@@ -16,6 +18,7 @@ from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import (
     BayesConfig,
     BayesSearch,
+    BelieverVariance,
     GPModel,
     fit_gp,
     propose,
@@ -254,14 +257,64 @@ def test_proposal_avoids_seen_points():
 @pytest.mark.parametrize("space", [BOX3, MIXED], ids=["continuous", "mixed"])
 def test_propose_matches_restarts_run_alone(space):
     # MIXED refines its one continuous channel with the integer and
-    # categorical channels frozen at each candidate's values
+    # categorical channels frozen at each candidate's values; one pick takes
+    # no fantasy, so it must match the reference bit for bit
+    for seed in range(4):
+        records = random_records(space, 25, np.random.default_rng(seed))
+        model = fit_gp(space, records)
+        seen = {r.key for r in records}
+        got = propose(model, space, 1, 2.0, np.random.default_rng(100 + seed), seen, restarts=3)
+        want, _ = reference_propose(model, space, 1, 2.0, np.random.default_rng(100 + seed), seen, 3)
+        assert [(p.values, key) for p, key in got] == [(p.values, key) for p, key in want], f"seed {seed}"
+
+
+@pytest.mark.parametrize("space", [BOX3, MIXED], ids=["continuous", "mixed"])
+def test_batch_picks_match_dense_refit_believer(space):
     for seed in range(4):
         records = random_records(space, 25, np.random.default_rng(seed))
         model = fit_gp(space, records)
         seen = {r.key for r in records}
         got = propose(model, space, 5, 2.0, np.random.default_rng(100 + seed), seen, restarts=3)
         want, _ = reference_propose(model, space, 5, 2.0, np.random.default_rng(100 + seed), seen, 3)
+        assert len(got) == 5
         assert [(p.values, key) for p, key in got] == [(p.values, key) for p, key in want], f"seed {seed}"
+
+
+@pytest.mark.parametrize("space", [BOX3, MIXED], ids=["continuous", "mixed"])
+def test_believer_variances_match_dense_refit(space):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = fit_gp(space, random_records(space, 25, rng))
+        points = lhs_sample(space, SampleRequest(64, seed))
+        rows = np.stack([encode(space, p) for p in points])
+        mean, var = model.posterior_many(rows)
+        believer = BelieverVariance(model, rows, var)
+        picks = [int(b) for b in rng.choice(len(rows), size=4, replace=False)]
+        for j, b in enumerate(picks):
+            believer.add(b)
+            dense_mean, dense_var = dense_believer_posterior(model, space, rows[picks[: j + 1]], rows)
+            assert np.allclose(believer.var, dense_var, rtol=0, atol=1e-8 * model.signal_var), f"seed {seed}"
+            # the fantasies' values are posterior means, so the mean stays put
+            assert np.allclose(mean, dense_mean, rtol=1e-8, atol=1e-8 * model.signal_var), f"seed {seed}"
+        assert np.all(believer.var <= var)
+        assert np.all(believer.var[picks] <= 2 * model.jitter)
+
+
+def test_batch_spreads_where_a_static_ranking_crowds():
+    # data on [0, 0.6] leaves sigma largest near x = 1, so the five best
+    # candidates of one unchanged LCB ranking all sit there; each fantasy
+    # shrinks sigma near its pick, so the believer's later picks move away
+    records = [rec(UNIT1, [x], float(np.sin(7 * x)), i + 1) for i, x in enumerate(np.linspace(0, 0.6, 7))]
+    model = fit_gp(UNIT1, records)
+    got = propose(model, UNIT1, 5, 5.0, np.random.default_rng(0), set(), restarts=0)
+    picks = [p.values[0] for p, _ in got]
+    seed = int(np.random.default_rng(0).integers(0, 2**63))
+    candidates = np.array([p.values[0] for p in lhs_sample(UNIT1, SampleRequest(256, seed))])
+    mean, var = model.posterior_many(candidates[:, None])
+    static = candidates[np.argsort(mean - 5.0 * np.sqrt(var), kind="stable")[:5]]
+    assert picks[0] == static[0]
+    assert np.ptp(static) < 0.05
+    assert np.ptp(picks) > 0.25
 
 
 def test_propose_posterior_calls_follow_longest_simplex():
@@ -279,12 +332,30 @@ def test_propose_posterior_calls_follow_longest_simplex():
     del model.posterior_many
     _, steps = reference_propose(model, BOX3, 5, 2.0, np.random.default_rng(12), set(), 3)
     assert len(steps) == 3 and sum(steps) > max(steps)
-    # the candidate set, then one call per lockstep step
-    assert len(rows_per_call) == 1 + max(steps)
+    # the candidate set, one call per lockstep step, then the refined points;
+    # the believer's fantasies make no posterior call
+    assert len(rows_per_call) == 2 + max(steps)
     assert rows_per_call[0] == 256
+    assert rows_per_call[-1] == 3
 
 
 # -- solver binding ---------------------------------------------------------------------
+
+
+def test_scipy_linalg_loads_with_a_bayes_solver_not_with_the_cli():
+    # scipy.linalg costs about a fifth of a second to import: a run without
+    # Bayes never pays it, and a run with Bayes pays it while building its
+    # solvers, before the run starts
+    code = (
+        "import sys, tunekit.cli\n"
+        "from tunekit.objectives import BRANIN_SPACE\n"
+        "from tunekit.solvers import make_solver\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "make_solver('bayes', BRANIN_SPACE, 0)\n"
+        "print(before, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_first_ask_is_lhs_init():

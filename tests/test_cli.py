@@ -93,6 +93,12 @@ def test_tune_bad_solver_params_exit_1(tmp_path: Path):
         ("neldermead", {"edge": 0}),
         ("random", {"batch": True}),
         ("direct-nm", {"theta": -1.0}),
+        ("bayes", {"init": 2.5}),
+        ("bayes", {"batch": True}),
+        ("bayes", {"kappa": "x"}),
+        ("hybrid", {"population": 10.5}),
+        ("hybrid", {"tournament": 1.5}),
+        ("hybrid", {"alpha": "x"}),
     ],
 )
 def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path, solver_type, params):

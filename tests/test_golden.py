@@ -68,7 +68,11 @@ def test_goldens_cover_every_solver_type_sharing_and_cache_hits():
 
 
 if __name__ == "__main__":
-    for name in CONFIGS:
+    names = sys.argv[1:] or CONFIGS
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"no golden config named {', '.join(unknown)}; have {', '.join(CONFIGS)}")
+    for name in names:
         history, summary = run_config(name, 1)
         (GOLDEN_DIR / f"{name}.history.csv").write_text(history, encoding="utf-8")
         print(f"{name}: {len(history.splitlines()) - 1} records, cache_hits={summary['cache_hits']}", file=sys.stderr)

@@ -82,6 +82,10 @@ def test_config_invariants():
         HybridConfig(delta_init=0.0)
     with pytest.raises(ValueError):
         HybridConfig(population=5, elites=5)
+    with pytest.raises(ValueError):
+        HybridConfig(alpha=1.0)
+    with pytest.raises(ValueError):
+        HybridConfig(crossover_prob=1.5)
 
 
 # -- select_centers -------------------------------------------------------------

@@ -4,6 +4,8 @@ learner, CSV ingestion, and the external-process protocol."""
 from __future__ import annotations
 
 import math
+import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -325,6 +327,56 @@ def test_external_reported_fail_status(tmp_path: Path):
     with pytest.raises(EvaluationFailed) as err:
         objective(Point([1.0]))
     assert err.value.reason == "diverged"
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process (a zombie waiting to be reaped is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+LEAVES_A_GRANDCHILD = """\
+import subprocess, sys, time
+child = subprocess.Popen(["sleep", "30"], stdout={stdout}, stderr=subprocess.DEVNULL)
+open({pid_file!r}, "w").write(str(child.pid))
+print('{{"objective": 1.0}}', flush=True)
+{then}
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "stdout, then, reason",
+    [
+        ("None", "time.sleep(30)", "timeout"),  # the grandchild holds stdout open too
+        ("subprocess.DEVNULL", "", None),  # the script exits 0 and leaves it behind
+    ],
+    ids=["timeout", "clean_exit"],
+)
+def test_external_evaluation_leaves_no_process_behind(tmp_path: Path, stdout, then, reason):
+    space = SearchSpace([ContinuousVariable("x", 0.0, 10.0)])
+    pid_file = tmp_path / "grandchild.pid"
+    body = LEAVES_A_GRANDCHILD.format(stdout=stdout, pid_file=str(pid_file), then=then)
+    objective = ExternalObjective(space, _stub(tmp_path, body), timeout_ms=1500)
+    pid = None
+    try:
+        if reason is None:
+            assert objective(Point([1.0])) == 1.0
+        else:
+            with pytest.raises(EvaluationFailed) as err:
+                objective(Point([1.0]))
+            assert err.value.reason == reason
+        pid = int(pid_file.read_text(encoding="utf-8"))
+        deadline = time.monotonic() + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(pid)
+    finally:
+        if pid is not None and _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 # -- build_objective factory --------------------------------------------------------------------

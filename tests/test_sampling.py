@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tunekit.sampling import SampleRequest, lhs_design, lhs_sample, random_sample
+from tunekit.sampling import SampleRequest, lhs_design, lhs_encoded, lhs_sample, random_sample
 from tunekit.space import (
     CategoricalVariable,
     ContinuousVariable,
     IntegerVariable,
     SearchSpace,
+    encode,
     is_valid,
 )
 
@@ -100,6 +101,24 @@ def test_lhs_design_one_per_stratum_every_numeric_variable():
         for col in numeric_cols:
             strata = np.floor(design[:, col] * n).astype(int)
             assert sorted(strata) == list(range(n)), f"n={n} col={col}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lhs_encoded_equals_encoding_each_point(seed):
+    # continuous bounds that are not exact in binary, a one-value integer
+    # range, a wide and a narrow integer range, and categoricals
+    space = SearchSpace(
+        [
+            *MIXED.variables,
+            ContinuousVariable("z", -0.3, 97.475),
+            IntegerVariable("one", 4, 4),
+            IntegerVariable("wide", -7, 1000),
+            CategoricalVariable("solo", ("only",)),
+        ]
+    )
+    req = SampleRequest(256, seed)
+    want = np.stack([encode(space, p) for p in lhs_sample(space, req)])
+    assert np.array_equal(lhs_encoded(space, lhs_design(space, req)), want)
 
 
 def test_distinct_seeds_distinct_samples():

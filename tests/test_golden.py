@@ -1,12 +1,19 @@
 """Golden histories: `tunekit tune` must keep writing the same history.csv.
 
 Each `golden/<name>.json` is a small run config. Its `golden/<name>.history.csv`
-is the history.csv that `tunekit tune` wrote for it at concurrency 1 at commit
-1328f5a, before point keys moved from the solvers to the manager, with the
-`wall_time_ms` column removed. Regenerate them, only for an intended change of
-behaviour, with
+is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
+`wall_time_ms` column removed, at the commit named here:
 
-    PYTHONPATH=src python tests/test_golden.py
+- cliff-hybrid, portfolio: 1328f5a, before point keys moved from the solvers
+  to the manager.
+- bayes-direct: b7d3082, where Bayes began choosing each batch with the
+  Kriging believer.
+
+Regenerate one, only for an intended change of behaviour, with
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+(no NAME regenerates all of them), and name the commit here.
 
 The determinism contract says a config and seed give the same history at any
 concurrency, so each config is run at K=1 and K=4 and compared byte for byte,

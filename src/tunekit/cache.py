@@ -1,12 +1,14 @@
 """Point identity: the key under which evaluations are deduplicated.
 
 Two points are the same point iff their encoded coordinates agree after
-rounding to 12 decimal digits. The manager keys each asked point once and
-stores the key on its record; solvers read `TrialRecord.key` instead of
-keying again.
+rounding to 12 decimal digits. The manager encodes and keys each asked point
+once and stores the key and the encoded row on its record; solvers read
+`TrialRecord.key` and `TrialRecord.encoded` instead of computing them again.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .space import Point, SearchSpace, encode
 
@@ -15,6 +17,12 @@ KEY_DIGITS = 12
 CacheKey = tuple[float, ...]
 
 
+def row_key(row: np.ndarray) -> CacheKey:
+    """Key of an encoded row; tolist() first, as round() is several times
+    faster on Python floats than on numpy scalars."""
+    return tuple(round(c, KEY_DIGITS) for c in row.tolist())
+
+
 def canonical_key(space: SearchSpace, p: Point) -> CacheKey:
     """Key of a point; raises like encode() for an invalid point."""
-    return tuple(round(c, KEY_DIGITS) for c in encode(space, p))
+    return row_key(encode(space, p))

@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, instantiate_solvers, load_run_config
 from .manager import Objective, TuningManager
 from .objectives import build_objective
 from .schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
-from .trials import TuningHistory
+from .trials import TuningHistory, write_csv
 
 
 def _fail(code: int, message: str) -> None:
@@ -120,7 +120,7 @@ def bench(config_path: str, n_seeds: int, out_dir: str | None) -> None:
                         "solver": setup.label,
                         "seed": seed,
                         "best_objective": best.objective if best else None,
-                        "evals_used": history.stats.evaluations,
+                        "evals_used": history.evaluations,
                         "wall_time_ms": wall_ms,
                     }
                 )
@@ -142,13 +142,20 @@ def bench(config_path: str, n_seeds: int, out_dir: str | None) -> None:
 
 
 def _write_bench_csv(path: Path, rows: list[dict]) -> None:
-    lines = ["solver,seed,best_objective,evals_used,wall_time_ms"]
-    for row in rows:
-        best = "" if row["best_objective"] is None else repr(row["best_objective"])
-        lines.append(
-            f"{row['solver']},{row['seed']},{best},{row['evals_used']},{row['wall_time_ms']}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        path,
+        ["solver", "seed", "best_objective", "evals_used", "wall_time_ms"],
+        (
+            [
+                row["solver"],
+                str(row["seed"]),
+                "" if row["best_objective"] is None else repr(row["best_objective"]),
+                str(row["evals_used"]),
+                str(row["wall_time_ms"]),
+            ]
+            for row in rows
+        ),
+    )
 
 
 def _bench_summary(rows: list[dict]) -> dict[str, dict]:
@@ -170,12 +177,14 @@ def _bench_summary(rows: list[dict]) -> dict[str, dict]:
 
 
 def _write_summary_csv(path: Path, summary: dict[str, dict]) -> None:
-    lines = ["solver,mean_best,median_best,runs"]
-    for label, stats in summary.items():
-        lines.append(
-            f"{label},{repr(stats['mean_best'])},{repr(stats['median_best'])},{stats['runs']}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        path,
+        ["solver", "mean_best", "median_best", "runs"],
+        (
+            [label, repr(stats["mean_best"]), repr(stats["median_best"]), str(stats["runs"])]
+            for label, stats in summary.items()
+        ),
+    )
 
 
 @main.command("simulate-allocation")

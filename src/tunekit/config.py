@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .manager import check_param
 from .solvers import SOLVERS, make_solver
 from .space import CategoricalVariable, ContinuousVariable, IntegerVariable, SearchSpace
 from .trials import Budget
@@ -82,10 +83,11 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
         space = build_space(raw["space"])
         objective_spec = raw["objective"]
         budget_raw = raw.get("budget", {})
-        budget = Budget(
-            max_evaluations=int(budget_raw.get("evaluations", 100)),
-            max_concurrency=int(budget_raw.get("concurrency", 1)),
-        )
+        evaluations = budget_raw.get("evaluations", 100)
+        concurrency = budget_raw.get("concurrency", 1)
+        check_param("budget.evaluations", evaluations, integer=True, minimum=1)
+        check_param("budget.concurrency", concurrency, integer=True, minimum=1)
+        budget = Budget(max_evaluations=evaluations, max_concurrency=concurrency)
         solver_entries = raw.get("solvers", [])
         if not solver_entries:
             raise ConfigError("config needs at least one solver")
@@ -94,15 +96,17 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             solver_type = entry.get("type")
             if solver_type not in SOLVERS:
                 raise ConfigError(f"unknown solver type {solver_type!r}")
+            share = entry.get("share", True)
+            if not isinstance(share, bool):
+                raise ConfigError(f"solvers[{i}].share must be true or false, got {share!r}")
+            label = entry.get("label", f"{solver_type}-{i}")
+            if not isinstance(label, str):
+                raise ConfigError(f"solvers[{i}].label must be a string, got {label!r}")
             setups.append(
-                SolverSetup(
-                    type=solver_type,
-                    params=dict(entry.get("params", {})),
-                    share=bool(entry.get("share", True)),
-                    label=entry.get("label", f"{solver_type}-{i}"),
-                )
+                SolverSetup(type=solver_type, params=dict(entry.get("params", {})), share=share, label=label)
             )
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        check_param("seed", seed, integer=True, minimum=0)
         out = out_override if out_override is not None else raw.get("out")
         return RunConfig(
             space=space,

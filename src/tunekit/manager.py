@@ -1,14 +1,17 @@
 """Hybrid solver manager: drives registered solvers through an iterative
 acquire/evaluate/return loop with concurrent evaluation dispatch.
 
-Each iteration the manager collects asks from every live solver (round-robin,
-capped so the combined batch never exceeds the remaining budget), keys each
-asked point once, resolves cache hits without spending budget, evaluates the
-remaining unique points on up to K worker threads, and tells every solver its
-own records plus — for solvers registered with sharing — everyone else's.
-Every record carries its point's key. Batch results are sorted by eval_id
-before the tell, so the outcome is independent of completion order and
-therefore of K.
+Each iteration is one pass over the asked points. The manager collects asks
+from every live solver (round-robin, capped so the combined batch never
+exceeds the remaining budget) and encodes and keys each asked point once.
+Points whose key is neither cached nor already asked this iteration are new;
+each is owned by its first asker and evaluated on up to K worker threads,
+under eval_ids that follow the order of asking. The iteration's records, new
+and replayed from the cache, are sorted by eval_id once, and each solver is
+told the records of its own asks plus, if it was registered with sharing,
+every other record of the iteration. A tell holds each record once, in
+eval_id order, so the outcome is independent of completion order and
+therefore of K. Every record carries its point's key and encoded row.
 
 A solver whose ask, is_done or tell raises, or that asks for a point that is
 not valid in the space, is isolated (marked done) without aborting the run.
@@ -23,12 +26,14 @@ import math
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cache import CacheKey, canonical_key
-from .space import Point, SearchSpace
+import numpy as np
+
+from .cache import CacheKey, row_key
+from .space import Point, SearchSpace, encode
 from .trials import (
     PENALTY_OBJECTIVE,
     STATUS_FAIL,
@@ -90,7 +95,15 @@ class _Registration:
     solver: Solver
     share_in: bool
     done: bool = False
-    asked_keys: list[CacheKey] = field(default_factory=list)
+
+
+class _Ask(NamedTuple):
+    """One asked point, encoded and keyed once."""
+
+    reg: _Registration
+    point: Point
+    row: np.ndarray
+    key: CacheKey
 
 
 class TuningManager:
@@ -122,37 +135,33 @@ class TuningManager:
 
         cache: dict[CacheKey, TrialRecord] = {}  # workers never touch it
         history = TuningHistory(self.space, seed=seed)
-        eval_seq = 0
         iteration = 0
         stall = 0
 
         with ThreadPoolExecutor(max_workers=budget.max_concurrency) as pool:
-            while history.stats.evaluations < budget.max_evaluations:
+            while history.evaluations < budget.max_evaluations:
                 live = [r for r in self._registrations if not r.done and not self._is_done(r)]
                 if not live:
                     break
                 iteration += 1
 
-                asks = self._collect_asks(live, iteration, budget.max_evaluations - history.stats.evaluations)
+                asks = self._collect_asks(live, iteration, budget.max_evaluations - history.evaluations)
                 if not asks:
                     break  # every live solver declined to ask; nothing can progress
+                history.points_asked += len(asks)
 
-                new_points, replays = self._split_batch(asks, cache)
-                history.stats.points_asked += len(asks)
-                history.stats.cache_hits += len(asks) - len(new_points)
-
-                owners: dict[CacheKey, str] = {}
-                for reg, _, key in asks:
-                    owners.setdefault(key, reg.solver.solver_id)
-                fresh = self._evaluate(pool, objective, new_points, owners, iteration, eval_seq)
-                cache.update(fresh)
-                eval_seq += len(fresh)
-                history.stats.evaluations += len(fresh)
-                history.records.extend(sorted(fresh.values(), key=lambda r: r.eval_id))
+                new: dict[CacheKey, _Ask] = {}
+                for ask in asks:
+                    if ask.key not in cache and ask.key not in new:
+                        new[ask.key] = ask  # owned by its first asker
+                fresh = self._evaluate(pool, objective, new.values(), iteration, history.evaluations)
+                history.records.extend(fresh)
+                cache.update((rec.key, rec) for rec in fresh)
                 history.close_iteration(iteration)
 
                 stall = stall + 1 if not fresh else 0
-                self._broadcast(live, fresh, replays)
+                batch = sorted({ask.key: cache[ask.key] for ask in asks}.values(), key=lambda r: r.eval_id)
+                self._broadcast(live, asks, batch)
                 if stall >= self._max_stall:
                     logger.warning("run stalled: %d iterations without a new evaluation", stall)
                     break
@@ -168,16 +177,9 @@ class TuningManager:
             reg.done = True
             return True
 
-    def _collect_asks(
-        self,
-        live: list[_Registration],
-        iteration: int,
-        remaining: int,
-    ) -> list[tuple[_Registration, Point, CacheKey]]:
-        asks: list[tuple[_Registration, Point, CacheKey]] = []
+    def _collect_asks(self, live: list[_Registration], iteration: int, remaining: int) -> list[_Ask]:
+        asks: list[_Ask] = []
         capacity = remaining
-        for reg in live:
-            reg.asked_keys = []
         start = (iteration - 1) % len(live)
         for offset in range(len(live)):
             reg = live[(start + offset) % len(live)]
@@ -185,48 +187,32 @@ class TuningManager:
                 break
             try:
                 points = list(reg.solver.ask(capacity))[:capacity]
-                keys = [canonical_key(self.space, p) for p in points]  # validates each point
+                rows = [encode(self.space, p) for p in points]  # validates each point
             except Exception:
                 logger.exception(
                     "solver %s ask raised or asked an invalid point; isolating it", reg.solver.solver_id
                 )
                 reg.done = True
                 continue
-            reg.asked_keys = keys
-            for p, key in zip(points, keys):
-                asks.append((reg, p, key))
+            asks += [_Ask(reg, point, row, row_key(row)) for point, row in zip(points, rows)]
             capacity -= len(points)
         return asks
-
-    def _split_batch(
-        self,
-        asks: list[tuple[_Registration, Point, CacheKey]],
-        cache: dict[CacheKey, TrialRecord],
-    ) -> tuple[dict[CacheKey, Point], dict[CacheKey, TrialRecord]]:
-        """Partition asked points into first-seen new points and cache replays."""
-        new_points: dict[CacheKey, Point] = {}
-        replays: dict[CacheKey, TrialRecord] = {}
-        for _, point, key in asks:
-            cached = cache.get(key)
-            if cached is not None:
-                replays[key] = cached
-            elif key not in new_points:
-                new_points[key] = point
-        return new_points, replays
 
     def _evaluate(
         self,
         pool: ThreadPoolExecutor,
         objective: Objective,
-        new_points: dict[CacheKey, Point],
-        owners: dict[CacheKey, str],
+        new: Iterable[_Ask],
         iteration: int,
-        eval_seq: int,
-    ) -> dict[CacheKey, TrialRecord]:
-        def worker(point: Point, key: CacheKey, eval_id: int, solver_id: str) -> TrialRecord:
+        evaluations: int,
+    ) -> list[TrialRecord]:
+        """Evaluate the new points under eval_ids evaluations+1, ...; the
+        records come back in eval_id order."""
+
+        def worker(ask: _Ask, eval_id: int) -> TrialRecord:
             start = time.perf_counter()
             try:
-                value = float(objective(point, eval_id))
+                value = float(objective(ask.point, eval_id))
                 if not math.isfinite(value):
                     raise EvaluationFailed("non_finite")
                 status, reason = STATUS_OK, None
@@ -236,48 +222,32 @@ class TuningManager:
                 value, status, reason = PENALTY_OBJECTIVE, STATUS_FAIL, f"exception:{type(exc).__name__}"
             elapsed_ms = (time.perf_counter() - start) * 1000
             return TrialRecord(
-                point=point,
-                key=key,
+                point=ask.point,
+                key=ask.key,
+                encoded=ask.row,
                 objective=value,
                 status=status,
-                solver_id=solver_id,
+                solver_id=ask.reg.solver.solver_id,
                 iteration=iteration,
                 eval_id=eval_id,
                 wall_time_ms=elapsed_ms,
                 fail_reason=reason,
             )
 
-        futures = [
-            pool.submit(worker, point, key, eval_seq + i + 1, owners.get(key, "unknown"))
-            for i, (key, point) in enumerate(new_points.items())
-        ]
-        return {rec.key: rec for rec in (f.result() for f in futures)}
+        futures = [pool.submit(worker, ask, evaluations + i) for i, ask in enumerate(new, 1)]
+        return [f.result() for f in futures]
 
-    def _broadcast(
-        self,
-        live: list[_Registration],
-        fresh: dict[CacheKey, TrialRecord],
-        replays: dict[CacheKey, TrialRecord],
-    ) -> None:
-        iteration_records = dict(fresh)
-        iteration_records.update(replays)
+    def _broadcast(self, live: list[_Registration], asks: list[_Ask], batch: list[TrialRecord]) -> None:
+        """Tell each live solver its share of the iteration's records, which
+        come sorted by eval_id and hold each key once."""
         for reg in live:
             if reg.done:
                 continue
-            keys: list[CacheKey] = []
-            seen: set[CacheKey] = set()
-            own_keys = set(reg.asked_keys)
-            for key in reg.asked_keys:
-                if key not in seen and key in iteration_records:
-                    keys.append(key)
-                    seen.add(key)
             if reg.share_in:
-                for key in iteration_records:
-                    if key not in own_keys and key not in seen:
-                        keys.append(key)
-                        seen.add(key)
-            records = sorted((iteration_records[k] for k in keys), key=lambda r: r.eval_id)
-            reg.asked_keys = []
+                records = batch
+            else:
+                own = {ask.key for ask in asks if ask.reg is reg}
+                records = [r for r in batch if r.key in own]
             if not records:
                 continue
             try:

@@ -23,7 +23,7 @@ its refinement are built once per batch, not again after each fantasy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,24 +137,13 @@ class GPModel:
         return float(mean[0]), float(var[0])
 
 
-def fit_gp(
-    space: SearchSpace,
-    records: Sequence[TrialRecord],
-    cap: int = 300,
-    rows: Mapping[CacheKey, np.ndarray] | None = None,
-) -> GPModel:
-    """Fit a surrogate on the ok records (failures excluded), trimming to cap.
-
-    rows maps each record's key to its encoded point; without it the kept
-    records are encoded here."""
+def fit_gp(space: SearchSpace, records: Sequence[TrialRecord], cap: int = 300) -> GPModel:
+    """Fit a surrogate on the ok records (failures excluded), trimming to cap."""
     ok = [r for r in records if r.ok]
     if len(ok) < 2:
         raise GPFitError(f"need at least 2 ok records, got {len(ok)}")
     ok = trim_records(ok, cap)
-    if rows is None:
-        train_x = np.stack([encode(space, r.point) for r in ok])
-    else:
-        train_x = np.stack([rows[r.key] for r in ok])
+    train_x = np.stack([r.encoded for r in ok])
     train_y = np.array([r.objective for r in ok])
 
     sq = mixed_sqdist_matrix(space, train_x, train_x)
@@ -286,7 +275,6 @@ class BayesSearch(Solver):
         self.config = config or BayesConfig()
         self._rng = np.random.default_rng(seed)
         self._records: dict[CacheKey, TrialRecord] = {}
-        self._rows: dict[CacheKey, np.ndarray] = {}  # encoded points of the ok records
         self._seen: set[CacheKey] = set()
         self._initialized = False
         self.model: GPModel | None = None
@@ -304,9 +292,7 @@ class BayesSearch(Solver):
             return self._lhs_points(min(self.config.init, max_points))
         m = min(self.config.batch, max_points)
         try:
-            self.model = fit_gp(
-                self._space, list(self._records.values()), self.config.cap, self._rows
-            )
+            self.model = fit_gp(self._space, list(self._records.values()), self.config.cap)
         except GPFitError:
             return self._lhs_points(m)
         proposals = propose(
@@ -319,8 +305,5 @@ class BayesSearch(Solver):
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:
-            if rec.key not in self._records:
-                self._records[rec.key] = rec
-                if rec.ok:
-                    self._rows[rec.key] = encode(self._space, rec.point)
+            self._records.setdefault(rec.key, rec)
             self._seen.add(rec.key)

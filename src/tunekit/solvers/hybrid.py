@@ -24,7 +24,7 @@ import numpy as np
 from ..cache import CacheKey, canonical_key
 from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_sample
-from ..space import CategoricalVariable, Point, SearchSpace, decode, encode, mixed_sqdist_matrix
+from ..space import CategoricalVariable, Point, SearchSpace, decode, mixed_sqdist_matrix
 from ..trials import TrialRecord
 
 
@@ -162,12 +162,7 @@ def poll_points(space: SearchSpace, member: Member) -> list[tuple[Point, CacheKe
     return polls
 
 
-def growth_update(
-    space: SearchSpace,
-    center: Member,
-    poll_records: Sequence[TrialRecord],
-    alpha: float,
-) -> GrowthEvent:
+def growth_update(center: Member, poll_records: Sequence[TrialRecord], alpha: float) -> GrowthEvent:
     """Pattern-search decision for one center: move to the best poll under
     sufficient decrease (f_best < f_center - alpha * delta^2), else halve the
     step. An empty poll set counts as a failure. Mutates the member; the step
@@ -178,7 +173,7 @@ def growth_update(
     if best is not None and best.objective < f_old - alpha * delta * delta:
         center.point = best.point
         center.key = best.key
-        center.encoded = encode(space, best.point)
+        center.encoded = best.encoded
         center.objective = best.objective
         center.eval_id = best.eval_id
         return GrowthEvent(True, f_old, best.objective, delta, delta, alpha)
@@ -283,9 +278,7 @@ class HybridSearch(Solver):
     # -- tell -----------------------------------------------------------------
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
-        recmap: dict[CacheKey, TrialRecord] = {}
-        for rec in records:
-            recmap.setdefault(rec.key, rec)
+        recmap = {rec.key: rec for rec in records}  # a tell holds each key once
         if self._init_keys is not None and not self.population:
             self._absorb_init(recmap)
         elif self._generation is not None:
@@ -298,7 +291,7 @@ class HybridSearch(Solver):
         return Member(
             point=rec.point,
             key=rec.key,
-            encoded=encode(self._space, rec.point),
+            encoded=rec.encoded,
             objective=rec.objective,
             delta=self.config.delta_init,
             eval_id=rec.eval_id,
@@ -319,9 +312,7 @@ class HybridSearch(Solver):
         cfg = self.config
 
         for center, keys in zip(gen.centers, gen.poll_keys):
-            event = growth_update(
-                self._space, center, [recmap[k] for k in keys if k in recmap], cfg.alpha
-            )
+            event = growth_update(center, [recmap[k] for k in keys if k in recmap], cfg.alpha)
             self.growth_log.append(event)
 
         keep: list[Member] = list(gen.centers)
@@ -330,10 +321,7 @@ class HybridSearch(Solver):
                 keep.append(elite)
         keep = keep[: cfg.population]  # centers + elites can overflow tiny populations
 
-        child_records: dict[CacheKey, TrialRecord] = {}
-        for key in gen.children_keys:
-            if key in recmap:
-                child_records.setdefault(key, recmap[key])
+        child_records = {key: recmap[key] for key in gen.children_keys if key in recmap}
         fills = [
             self._member_from(rec)
             for rec in sorted(child_records.values(), key=lambda r: (r.objective, r.eval_id))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..manager import Solver, check_param
-from ..sampling import SampleRequest, lhs_sample, random_sample
+from ..sampling import SampleRequest, lhs_design, lhs_point, random_sample
 from ..space import Point, SearchSpace
 from ..trials import TrialRecord
 
@@ -44,24 +44,26 @@ class RandomSearch(Solver):
 
 
 class LhsSearch(Solver):
-    """Serves a pre-built Latin hypercube design of size n, then finishes."""
+    """Serves a Latin hypercube design of size n, then finishes. The design is
+    drawn up front; a row becomes a point only when it is served."""
 
     def __init__(self, space: SearchSpace, seed: int, n: int, batch: int | None = None):
         check_param("n", n, integer=True, minimum=1)
         if batch is not None:
             check_param("batch", batch, integer=True, minimum=1)
-        self._points = lhs_sample(space, SampleRequest(n, seed))
+        self._space = space
+        self._design = lhs_design(space, SampleRequest(n, seed))
         self._cursor = 0
         self._batch = batch
 
     def ask(self, max_points: int) -> list[Point]:
         count = max_points if self._batch is None else min(max_points, self._batch)
-        chunk = self._points[self._cursor : self._cursor + count]
-        self._cursor += len(chunk)
-        return chunk
+        rows = self._design[self._cursor : self._cursor + count]
+        self._cursor += len(rows)
+        return [lhs_point(self._space, row) for row in rows]
 
     def tell(self, records: list[TrialRecord]) -> None:
         pass
 
     def is_done(self) -> bool:
-        return self._cursor >= len(self._points)
+        return self._cursor >= len(self._design)

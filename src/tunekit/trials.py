@@ -7,11 +7,15 @@ against the evaluation budget.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cache import CacheKey
 from .space import Point, SearchSpace, Value
@@ -32,10 +36,16 @@ class EvaluationFailed(Exception):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One evaluated point; key is canonical_key(space, point)."""
+    """One evaluated point.
+
+    key is canonical_key(space, point) and encoded is encode(space, point),
+    both computed once by the manager when the point was asked. encoded is
+    made read-only here, so solvers can keep it without copying; it takes no
+    part in equality, hashing or repr."""
 
     point: Point
     key: CacheKey
+    encoded: np.ndarray = field(compare=False, repr=False)
     objective: float
     status: str
     solver_id: str
@@ -55,6 +65,7 @@ class TrialRecord:
             raise ValueError(f"unknown status {self.status!r}")
         if self.wall_time_ms < 0 or self.iteration < 0:
             raise ValueError("wall_time_ms and iteration must be non-negative")
+        self.encoded.flags.writeable = False
 
     @property
     def ok(self) -> bool:
@@ -78,15 +89,6 @@ class Budget:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
 
 
-@dataclass
-class RunStats:
-    """Bookkeeping counters for one tuning run."""
-
-    points_asked: int = 0
-    cache_hits: int = 0
-    evaluations: int = 0
-
-
 def _csv_cell(value: Value) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean values are not valid point values")
@@ -95,20 +97,41 @@ def _csv_cell(value: Value) -> str:
     return str(value)
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a CSV file, quoting a cell only when it holds a comma, a quote or
+    a newline."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class TuningHistory:
     """Ordered log of unique evaluated points plus per-iteration bests.
 
     records is append-only: close_iteration folds only the records added since
-    its last call into a running best."""
+    its last call into a running best. points_asked counts every point the
+    solvers asked for, duplicates included; every other count is derived from
+    records."""
 
     space: SearchSpace
     records: list[TrialRecord] = field(default_factory=list)
     best_by_iteration: list[tuple[int, float]] = field(default_factory=list)
-    stats: RunStats = field(default_factory=RunStats)
+    points_asked: int = 0
     seed: int = 0
     _best_objective: float = field(default=math.inf, init=False, repr=False, compare=False)
     _folded: int = field(default=0, init=False, repr=False, compare=False)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.records)
+
+    @property
+    def cache_hits(self) -> int:
+        """Asked points answered without an evaluation: repeats of an earlier
+        point or of another point in the same batch."""
+        return self.points_asked - self.evaluations
 
     def best_record(self) -> TrialRecord | None:
         """Best ok record (lowest objective, earliest eval_id on ties)."""
@@ -144,19 +167,16 @@ class TuningHistory:
         return rows
 
     def write_history_csv(self, path: str | Path) -> None:
-        names = self.space.names
-        lines = ["eval_id,iteration,solver_id," + ",".join(names) + ",objective,status,wall_time_ms"]
-        for rec in sorted(self.records, key=lambda r: r.eval_id):
-            cells = [str(rec.eval_id), str(rec.iteration), rec.solver_id]
-            cells += [_csv_cell(v) for v in rec.point.values]
-            cells += [repr(rec.objective), rec.status_label(), repr(rec.wall_time_ms)]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ["eval_id", "iteration", "solver_id", *self.space.names, "objective", "status", "wall_time_ms"]
+        rows = (
+            [str(rec.eval_id), str(rec.iteration), rec.solver_id, *map(_csv_cell, rec.point.values)]
+            + [repr(rec.objective), rec.status_label(), repr(rec.wall_time_ms)]
+            for rec in sorted(self.records, key=lambda r: r.eval_id)
+        )
+        write_csv(path, header, rows)
 
     def write_convergence_csv(self, path: str | Path) -> None:
-        lines = ["eval_id,best_so_far"]
-        lines += [f"{eval_id},{repr(best)}" for eval_id, best in self.convergence_rows()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(path, ["eval_id", "best_so_far"], ((str(e), repr(b)) for e, b in self.convergence_rows()))
 
     def summary(self) -> dict:
         per_solver: dict[str, float] = {}
@@ -170,9 +190,9 @@ class TuningHistory:
             else {"point": self.space.to_dict(best.point), "objective": best.objective},
             "status_counts": self.status_counts(),
             "per_solver_best": per_solver,
-            "evaluations": self.stats.evaluations,
-            "points_asked": self.stats.points_asked,
-            "cache_hits": self.stats.cache_hits,
+            "evaluations": self.evaluations,
+            "points_asked": self.points_asked,
+            "cache_hits": self.cache_hits,
             "seed": self.seed,
         }
 

@@ -167,9 +167,9 @@ def test_criterion_04_dedup_zero_duplicate_calls():
         manager.register_solver(HybridSearch(space, seed=3, config=config))
         objective = counted(mixed)
         history = manager.run(objective, Budget(100))
-        assert history.stats.cache_hits > 0, "run must actually generate duplicates"
-        assert len(objective.calls) == history.stats.evaluations == len(history.records)
-        assert history.stats.cache_hits + history.stats.evaluations == history.stats.points_asked
+        assert history.cache_hits > 0, "run must actually generate duplicates"
+        assert len(objective.calls) == history.evaluations == len(history.records)
+        assert history.cache_hits + history.evaluations == history.points_asked
         # every evaluated point is unique
         keys = [canonical_key(space, r.point) for r in history.records]
         assert len(keys) == len(set(keys))
@@ -317,6 +317,7 @@ def test_criterion_10_gp_oracle_equivalence():
                     TrialRecord(
                         point=p,
                         key=canonical_key(mixed, p),
+                        encoded=encode(mixed, p),
                         objective=float(rng.normal()),
                         status="ok",
                         solver_id="t",
@@ -343,6 +344,7 @@ def test_criterion_10_gp_oracle_equivalence():
             TrialRecord(
                 point=Point([x]),
                 key=canonical_key(unit, Point([x])),
+                encoded=encode(unit, Point([x])),
                 objective=y,
                 status="ok",
                 solver_id="t",
@@ -362,6 +364,7 @@ def test_criterion_10_gp_oracle_equivalence():
             TrialRecord(
                 point=Point([float(x)]),
                 key=canonical_key(wide, Point([float(x)])),
+                encoded=encode(wide, Point([float(x)])),
                 objective=y,
                 status="ok",
                 solver_id="t",

@@ -51,6 +51,7 @@ def rec(space: SearchSpace, values, objective: float, eval_id: int, ok: bool = T
     return TrialRecord(
         point=Point(values),
         key=canonical_key(space, Point(values)),
+        encoded=encode(space, Point(values)),
         objective=objective if ok else PENALTY_OBJECTIVE,
         status="ok" if ok else "fail",
         solver_id="t",

@@ -56,12 +56,12 @@ def test_tiny_coordinate_perturbation_same_key():
     assert nudged.values[0] != 0.5  # genuinely different raw value
     assert canonical_key(SPACE, nudged) == canonical_key(SPACE, p)
     history, calls = run([ScriptedSolver([[p], [nudged]])])
-    assert len(calls) == 1 and history.stats.cache_hits == 1
+    assert len(calls) == 1 and history.cache_hits == 1
 
 
 def test_lookup_missing_point():
     history, calls = run([ScriptedSolver([[Point([0.5, 3, "a"])], [Point([0.1, 1, "a"])]])])
-    assert len(calls) == 2 and history.stats.cache_hits == 0
+    assert len(calls) == 2 and history.cache_hits == 0
 
 
 def test_duplicate_insert_keeps_first_record():
@@ -87,7 +87,7 @@ def test_size_matches_set_of_keys_oracle():
     history, calls = run([ScriptedSolver(batches)])
     keys = {canonical_key(SPACE, p) for p in points}
     assert len(history.records) == len(calls) == len(keys)
-    assert history.stats.cache_hits == len(points) - len(keys)
+    assert history.cache_hits == len(points) - len(keys)
     assert {r.key for r in history.records} == keys
     assert all(r.key == canonical_key(SPACE, r.point) for r in history.records)
 

@@ -3,6 +3,7 @@ simulator command."""
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -113,6 +114,63 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
     (name,) = params
     assert f"bad {solver_type} params: {name}" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"budget": {"evaluations": 10.7}}, "budget.evaluations"),
+        ({"budget": {"evaluations": 0}}, "budget.evaluations"),
+        ({"budget": {"evaluations": "30"}}, "budget.evaluations"),
+        ({"budget": {"evaluations": 30, "concurrency": True}}, "budget.concurrency"),
+        ({"budget": {"evaluations": 30, "concurrency": 1.5}}, "budget.concurrency"),
+        ({"seed": 2.9}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"solvers": [{"type": "random", "share": "false"}]}, "solvers[0].share"),
+        ({"solvers": [{"type": "random", "share": 0}]}, "solvers[0].share"),
+        ({"solvers": [{"type": "random", "label": 5}]}, "solvers[0].label"),
+    ],
+)
+def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
+    config = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "o"
+    result = run_cli("tune", "--config", str(config), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert field in result.output
+    assert not out.exists()
+
+
+def test_csv_outputs_quote_cells_that_need_it(tmp_path: Path):
+    config = write_config(
+        tmp_path / "cfg.json",
+        space=[
+            {"name": "x", "type": "continuous", "bounds": [-5.0, 5.0]},
+            {"name": "c", "type": "categorical", "levels": ["a,b", 'say "hi"', "line\nbreak"]},
+        ],
+        objective={"builtin": {"name": "mixed_synthetic"}},
+        solvers=[
+            {"type": "random", "label": "rand,1", "params": {"batch": 4}},
+            {"type": "lhs", "label": 'lhs "2"', "params": {"batch": 4}},
+        ],
+        budget={"evaluations": 30, "concurrency": 1},
+    )
+    out = tmp_path / "out"
+    assert run_cli("tune", "--config", str(config), "--out", str(out)).exit_code == 0
+    with open(out / "history.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["eval_id", "iteration", "solver_id", "x", "c", "objective", "status", "wall_time_ms"]
+    assert len(rows) == 30 and all(len(row) == len(header) for row in rows)
+    assert {row[2] for row in rows} == {"rand,1", 'lhs "2"'}
+    assert {row[4] for row in rows} == {"a,b", 'say "hi"', "line\nbreak"}
+
+    bench_out = tmp_path / "bench"
+    result = run_cli("bench", "--config", str(config), "--seeds", "2", "--out", str(bench_out))
+    assert result.exit_code == 0, result.output
+    for name, width in (("bench.csv", 5), ("bench_summary.csv", 4)):
+        with open(bench_out / name, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == width and all(len(row) == width for row in rows)
+        assert {row[0] for row in rows} == {"rand,1", 'lhs "2"'}
 
 
 def test_tune_bad_objective_spec_exit_1(tmp_path: Path):

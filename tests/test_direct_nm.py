@@ -21,7 +21,7 @@ from tunekit.solvers.direct import (
     split_box,
 )
 from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize, nm_minimize_many
-from tunekit.space import ContinuousVariable, Point, SearchSpace
+from tunekit.space import ContinuousVariable, Point, SearchSpace, encode
 from tunekit.trials import Budget, TrialRecord
 
 
@@ -33,6 +33,7 @@ def rec(space: SearchSpace, p: Point, objective: float, eval_id: int) -> TrialRe
     return TrialRecord(
         point=p,
         key=canonical_key(space, p),
+        encoded=encode(space, p),
         objective=objective,
         status="ok",
         solver_id="t",

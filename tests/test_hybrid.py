@@ -58,6 +58,7 @@ def rec(space: SearchSpace, p: Point, objective: float, eval_id: int) -> TrialRe
     return TrialRecord(
         point=p,
         key=canonical_key(space, p),
+        encoded=encode(space, p),
         objective=objective,
         status="ok",
         solver_id="t",
@@ -197,7 +198,7 @@ def test_categorical_channels_not_polled():
 def test_growth_accepts_sufficient_decrease():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
     poll = rec(UNIT2, Point([0.6, 0.5]), 0.99, eval_id=10)
-    event = growth_update(UNIT2, m, [poll], alpha=1e-4)
+    event = growth_update(m, [poll], alpha=1e-4)
     assert event.accepted
     assert m.objective == 0.99
     assert m.point.values == (0.6, 0.5)
@@ -207,7 +208,7 @@ def test_growth_accepts_sufficient_decrease():
 
 def test_growth_rejects_equal_value_and_halves():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
-    event = growth_update(UNIT2, m, [rec(UNIT2, Point([0.6, 0.5]), 1.0, 11)], alpha=1e-4)
+    event = growth_update(m, [rec(UNIT2, Point([0.6, 0.5]), 1.0, 11)], alpha=1e-4)
     assert not event.accepted
     assert m.delta == 0.05
     assert m.point.values == (0.5, 0.5)
@@ -216,14 +217,14 @@ def test_growth_rejects_equal_value_and_halves():
 def test_growth_boundary_is_strict():
     # threshold is 1.0 - 1e-4 * 0.1^2 = 0.999999; 0.9999995 is not below it
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.1)
-    event = growth_update(UNIT2, m, [rec(UNIT2, Point([0.6, 0.5]), 0.9999995, 12)], alpha=1e-4)
+    event = growth_update(m, [rec(UNIT2, Point([0.6, 0.5]), 0.9999995, 12)], alpha=1e-4)
     assert not event.accepted
     assert m.delta == 0.05
 
 
 def test_growth_empty_polls_is_failure():
     m = member(UNIT2, [0.5, 0.5], 1.0, delta=0.2)
-    event = growth_update(UNIT2, m, [], alpha=1e-4)
+    event = growth_update(m, [], alpha=1e-4)
     assert not event.accepted and m.delta == 0.1
 
 
@@ -307,7 +308,7 @@ def test_zeroed_operators_reduce_to_pure_lhs():
     manager.register_solver(solver)
     history = manager.run(sphere, Budget(100))
     # only the initial LHS is ever evaluated; later asks are all duplicates
-    assert history.stats.evaluations == cfg.population
+    assert history.evaluations == cfg.population
     init_points = {r.point.values for r in history.records if r.iteration == 1}
     assert {m.point.values for m in solver.population} <= init_points
 

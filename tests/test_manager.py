@@ -3,13 +3,15 @@ tolerance, and the run summary."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from helpers import RecordingSolver, ScriptedSolver, counted
+from tunekit.cache import canonical_key
 from tunekit.manager import Solver, TuningManager
 from tunekit.objectives import BuiltinObjective
 from tunekit.solvers import HybridConfig, HybridSearch, RandomSearch
-from tunekit.space import ContinuousVariable, Point, SearchSpace
+from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace, encode
 from tunekit.trials import PENALTY_OBJECTIVE, Budget, TuningHistory
 
 SPACE2 = SearchSpace([ContinuousVariable("x", -5.0, 5.0), ContinuousVariable("y", -5.0, 5.0)])
@@ -84,7 +86,7 @@ def test_duplicate_ask_replayed_not_reevaluated():
     history = manager.run(objective, Budget(10))
     assert len(objective.calls) == 1
     assert len(history.records) == 1
-    assert history.stats.cache_hits == 1
+    assert history.cache_hits == 1
     # the duplicate ask still appears in the second tell, as a replay
     assert len(solver.told) == 2
     assert solver.told[0].eval_id == solver.told[1].eval_id
@@ -98,8 +100,8 @@ def test_within_batch_duplicates_single_evaluation():
     objective = counted(sphere_objective)
     history = manager.run(objective, Budget(10))
     assert len(objective.calls) == 1
-    assert history.stats.points_asked == 3
-    assert history.stats.cache_hits == 2
+    assert history.points_asked == 3
+    assert history.cache_hits == 2
 
 
 # -- failures ------------------------------------------------------------------------
@@ -195,6 +197,74 @@ def test_share_in_false_blocks_foreign_records():
     manager.register_solver(RandomSearch(SPACE2, seed=4, batch=4), share_in=False)
     manager.run(sphere_objective, Budget(20))
     assert {r.point.values for r in quiet.told} == {(1.0, 1.0)}
+
+
+class ContractSolver(ScriptedSolver):
+    """A scripted solver that logs each ask and, with the number of asks made
+    so far (the iteration, since a live solver is asked once per iteration),
+    each tell."""
+
+    def __init__(self, batches):
+        super().__init__(batches)
+        self.asks: list[list[Point]] = []
+        self.tells: list[tuple[int, list]] = []
+
+    def ask(self, max_points: int) -> list[Point]:
+        points = super().ask(max_points)
+        self.asks.append(points)
+        return points
+
+    def tell(self, records) -> None:
+        self.tells.append((len(self.asks), list(records)))
+
+
+def test_tell_holds_own_records_plus_shared_ones_once_in_eval_id_order():
+    p1, p2, p3, p4, p5, p6 = (Point([v, v]) for v in (1.0, 2.0, 3.0, -1.0, -2.0, 0.5))
+    sharer = ContractSolver([[p1, p1, p2], [p1, p3], [], [p6]])  # within-batch duplicate, replays
+    loner = ContractSolver([[p2, p4], [p4, p5], [p6]])  # shares nothing
+    isolated = ContractSolver([[Point([9.0, 0.0])], [p3]])  # out of bounds: isolated at its first ask
+    second_loner = ContractSolver([[p5], [p2]])
+    manager = TuningManager(SPACE2)
+    manager.register_solver(sharer, share_in=True)
+    manager.register_solver(loner, share_in=False)
+    manager.register_solver(isolated, share_in=True)
+    manager.register_solver(second_loner, share_in=False)
+    objective = counted(sphere_objective)
+    history = manager.run(objective, Budget(100))
+
+    assert len(objective.calls) == len(history.records) == 6
+    assert history.cache_hits == history.points_asked - 6 > 0
+    by_key = {rec.key: rec for rec in history.records}
+    keys = {
+        solver: [[canonical_key(SPACE2, p) for p in points] for points in solver.asks]
+        for solver in (sharer, loner, second_loner)
+    }
+    assert isolated.asks == [[Point([9.0, 0.0])]] and isolated.tells == []
+    for solver, shares in ((sharer, True), (loner, False), (second_loner, False)):
+        expected = []
+        for iteration, own in enumerate(keys[solver], 1):
+            batch = {k for asked in keys.values() if len(asked) >= iteration for k in asked[iteration - 1]}
+            told = sorted((by_key[k] for k in (batch if shares else set(own))), key=lambda r: r.eval_id)
+            if told:
+                expected.append((iteration, told))
+        assert solver.tells == expected
+        for _, records in solver.tells:
+            ids = [r.eval_id for r in records]
+            assert ids == sorted(set(ids))  # each record once, in eval_id order
+
+
+def test_records_carry_their_read_only_encoded_row():
+    space = SearchSpace(
+        [ContinuousVariable("x", -1.0, 3.0), IntegerVariable("k", 0, 9), CategoricalVariable("c", ("a", "b"))]
+    )
+    manager = TuningManager(space)
+    manager.register_solver(HybridSearch(space, seed=4))
+    history = manager.run(lambda p, e: float(p.values[0]) ** 2, Budget(40, max_concurrency=2))
+    for rec in history.records:
+        assert np.array_equal(rec.encoded, encode(space, rec.point))
+        assert rec.key == canonical_key(space, rec.point)
+        with pytest.raises(ValueError):
+            rec.encoded[0] = 0.5
 
 
 # -- history / summary ---------------------------------------------------------------------

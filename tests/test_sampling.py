@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tunekit.sampling import SampleRequest, lhs_design, lhs_encoded, lhs_sample, random_sample
+from tunekit.solvers.samplers import LhsSearch
 from tunekit.space import (
     CategoricalVariable,
     ContinuousVariable,
@@ -127,3 +128,12 @@ def test_distinct_seeds_distinct_samples():
 
     randoms = [tuple(random_sample(MIXED, SampleRequest(5, seed=s))) for s in range(20)]
     assert len(set(randoms)) == 20
+
+
+def test_lhs_search_serves_the_design_rows_as_lhs_sample_points():
+    solver = LhsSearch(MIXED, seed=9, n=23, batch=4)
+    served = []
+    for cap in (1, 5, 0, 3, 100, 100, 100, 100, 100):
+        served += solver.ask(cap)
+    assert served == lhs_sample(MIXED, SampleRequest(23, seed=9))
+    assert solver.is_done() and solver.ask(4) == []

@@ -20,6 +20,7 @@ from tunekit.space import (
     IntegerVariable,
     Point,
     SearchSpace,
+    encode,
 )
 from tunekit.trials import Budget, TrialRecord
 
@@ -92,6 +93,7 @@ def test_ask_respects_cap(solver_type):
             TrialRecord(
                 point=p,
                 key=canonical_key(CONT2, p),
+                encoded=encode(CONT2, p),
                 objective=_objective(p, 0),
                 status="ok",
                 solver_id="t",
@@ -112,6 +114,7 @@ def test_foreign_records_tolerated(solver_type):
     foreign = TrialRecord(
         point=foreign_point,
         key=canonical_key(CONT2, foreign_point),
+        encoded=encode(CONT2, foreign_point),
         objective=0.5,
         status="ok",
         solver_id="other",
@@ -122,6 +125,7 @@ def test_foreign_records_tolerated(solver_type):
         TrialRecord(
             point=p,
             key=canonical_key(CONT2, p),
+            encoded=encode(CONT2, p),
             objective=_objective(p, 0),
             status="ok",
             solver_id="t",

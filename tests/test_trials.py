@@ -8,7 +8,7 @@ import math
 import pytest
 
 from tunekit.cache import canonical_key
-from tunekit.space import ContinuousVariable, Point, SearchSpace
+from tunekit.space import ContinuousVariable, Point, SearchSpace, encode
 from tunekit.manager import TuningManager
 from tunekit.solvers.samplers import RandomSearch
 from tunekit.trials import (
@@ -28,6 +28,7 @@ def ok_record(
     return TrialRecord(
         point=Point([x]),
         key=canonical_key(SPACE, Point([x])),
+        encoded=encode(SPACE, Point([x])),
         objective=objective,
         status="ok",
         solver_id="s",
@@ -40,11 +41,19 @@ def ok_record(
 def test_fail_record_requires_penalty_sentinel():
     with pytest.raises(ValueError):
         TrialRecord(
-            point=Point([0.5]), key=(0.5,), objective=1.0, status="fail", solver_id="s", iteration=1, eval_id=1
+            point=Point([0.5]),
+            key=(0.5,),
+            encoded=encode(SPACE, Point([0.5])),
+            objective=1.0,
+            status="fail",
+            solver_id="s",
+            iteration=1,
+            eval_id=1,
         )
     rec = TrialRecord(
         point=Point([0.5]),
         key=(0.5,),
+        encoded=encode(SPACE, Point([0.5])),
         objective=PENALTY_OBJECTIVE,
         status="fail",
         solver_id="s",
@@ -66,7 +75,14 @@ def test_ok_record_requires_finite_objective():
 def test_unknown_status_rejected():
     with pytest.raises(ValueError):
         TrialRecord(
-            point=Point([0.5]), key=(0.5,), objective=1.0, status="maybe", solver_id="s", iteration=1, eval_id=1
+            point=Point([0.5]),
+            key=(0.5,),
+            encoded=encode(SPACE, Point([0.5])),
+            objective=1.0,
+            status="maybe",
+            solver_id="s",
+            iteration=1,
+            eval_id=1,
         )
 
 
@@ -90,6 +106,7 @@ def test_convergence_rows_skip_until_first_ok():
     fail = TrialRecord(
         point=Point([0.1]),
         key=(0.1,),
+        encoded=encode(SPACE, Point([0.1])),
         objective=PENALTY_OBJECTIVE,
         status="fail",
         solver_id="s",
@@ -104,8 +121,7 @@ def test_convergence_rows_skip_until_first_ok():
 def test_history_csv_and_summary_roundtrip(tmp_path):
     history = TuningHistory(SPACE, seed=5)
     history.records = [ok_record(0.25, 2.0, 1, wall_time_ms=0.375), ok_record(0.75, 1.0, 2, iteration=2)]
-    history.stats.evaluations = 2
-    history.stats.points_asked = 2
+    history.points_asked = 2
     csv_path = tmp_path / "history.csv"
     history.write_history_csv(csv_path)
     lines = csv_path.read_text().splitlines()

@@ -19,6 +19,7 @@ A run config looks like:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,17 +59,19 @@ def build_space(entries: list[dict]) -> SearchSpace:
         try:
             name = entry["name"]
             kind = entry["type"]
-            if kind == "continuous":
+            if kind in ("continuous", "integer"):
                 lo, hi = entry["bounds"]
+                for bound in (lo, hi):
+                    check_param(f"{name}.bounds", bound, integer=kind == "integer", minimum=-math.inf)
+            if kind == "continuous":
                 variables.append(ContinuousVariable(name, float(lo), float(hi)))
             elif kind == "integer":
-                lo, hi = entry["bounds"]
-                variables.append(IntegerVariable(name, int(lo), int(hi)))
+                variables.append(IntegerVariable(name, lo, hi))
             elif kind == "categorical":
                 variables.append(CategoricalVariable(name, tuple(entry["levels"])))
             else:
                 raise ConfigError(f"unknown variable type {kind!r} for {name!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad variable entry {entry!r}: {exc}") from None

@@ -13,13 +13,25 @@ without re-evaluation. With a positive refinement threshold, a selected
 rectangle whose diameter falls below it stops being divided and instead runs
 its own simplex search seeded at the rectangle's center; the rectangle is then
 represented by the best value its refinement has found.
+
+Every point the solver needs is a request: its cache key, the snapped point
+and a callback that takes the point's objective value. Requests wait in a
+queue until `ask` serves them, and then under their key until `tell` pops the
+key of a record and calls its callbacks in the order they were served; two
+requests that snap to one point share one record. A split requests its two
+outer centers, and a refinement step its pending vertices, as one group: the
+last value of the group to arrive finishes the split (the low, middle and
+high children are created, in that order, and the parent retires) or
+advances the simplex. The root rectangle is created when its center's value
+arrives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,44 +96,23 @@ def pareto_select(entries: Sequence[tuple[float, float]]) -> list[int]:
 
 @dataclass
 class Rect:
-    index: int
     center: tuple[float, ...]
     half_widths: tuple[float, ...]
     f_center: float = math.inf
     state: str = ACTIVE
     best_value: float = math.inf
     refiner: SimplexSearch | None = None
+    diameter: float = field(init=False)
 
-    @property
-    def diameter(self) -> float:
-        return math.sqrt(sum(h * h for h in self.half_widths))
+    def __post_init__(self) -> None:
+        self.diameter = math.sqrt(sum(h * h for h in self.half_widths))
 
     @property
     def representative(self) -> float:
         return self.best_value if self.state == REFINING else self.f_center
 
 
-@dataclass
-class _Request:
-    geometry: np.ndarray
-    key: CacheKey
-    point: Point
-    kind: str  # "root" | "split_lo" | "split_hi" | "refine"
-    payload: object = None
-
-
-@dataclass
-class _Split:
-    parent: Rect
-    children: list[tuple[tuple, tuple]]
-    lo_value: float | None = None
-    hi_value: float | None = None
-
-
-@dataclass
-class _RefineWait:
-    rect: Rect
-    values: list[float | None] = field(default_factory=list)
+OnValue = Callable[[float], None]
 
 
 class DirectSearch(Solver):
@@ -134,9 +125,8 @@ class DirectSearch(Solver):
         self._dims = len(space.variables)
         self._cont = space.continuous_indices
         self._rects: list[Rect] = []
-        self._queue: list[_Request] = []
-        self._in_flight: dict[CacheKey, list[_Request]] = {}
-        self._next_index = 0
+        self._queue: list[tuple[CacheKey, Point, OnValue]] = []
+        self._waiting: dict[CacheKey, list[OnValue]] = {}
 
     # -- geometry <-> points ------------------------------------------------
 
@@ -148,28 +138,32 @@ class DirectSearch(Solver):
             coords[i] = coords[i] * (len(var.levels) - 1)
         return decode(self._space, coords)
 
-    def _request(self, geometry: Sequence[float], kind: str, payload: object = None) -> None:
-        point = self._to_point(geometry)
-        self._queue.append(
-            _Request(np.asarray(geometry, dtype=float), canonical_key(self._space, point), point, kind, payload)
-        )
+    def _request_all(self, geometries: Sequence[Sequence[float]], done: Callable[[list[float]], None]) -> None:
+        """Queue one request per geometry; once the last value arrives, call
+        `done` with all of them in geometry order."""
+        values: list = [None] * len(geometries)
 
-    def _new_rect(self, center: tuple, half_widths: tuple, **kwargs) -> Rect:
-        rect = Rect(self._next_index, tuple(center), tuple(half_widths), **kwargs)
-        self._next_index += 1
-        self._rects.append(rect)
-        return rect
+        def fill(slot: int, value: float) -> None:
+            values[slot] = value
+            if all(v is not None for v in values):
+                done(values)
+
+        for slot, geometry in enumerate(geometries):
+            point = self._to_point(geometry)
+            self._queue.append((canonical_key(self._space, point), point, functools.partial(fill, slot)))
+
+    def _add_rect(self, center: tuple, half_widths: tuple, value: float) -> None:
+        self._rects.append(Rect(center, half_widths, f_center=value, best_value=value))
 
     # -- planning ------------------------------------------------------------
 
     def _plan_wave(self) -> None:
-        for rect in self._rects:
+        live = [r for r in self._rects if r.state != RETIRED]
+        for rect in live:
             if rect.state == REFINING:
                 self._plan_refine_step(rect)
-        candidates = [r for r in self._rects if r.state in (ACTIVE, REFINING)]
-        entries = [(r.diameter, r.representative) for r in candidates]
-        for idx in pareto_select(entries):
-            rect = candidates[idx]
+        for idx in pareto_select([(r.diameter, r.representative) for r in live]):
+            rect = live[idx]
             if rect.state != ACTIVE:
                 continue
             if self._theta > 0 and rect.diameter < self._theta and self._cont:
@@ -178,11 +172,14 @@ class DirectSearch(Solver):
                 self._plan_split(rect)
 
     def _plan_split(self, rect: Rect) -> None:
-        axis = longest_axis(rect.half_widths)
-        children = split_box(rect.center, rect.half_widths, axis)
-        split = _Split(rect, children)
-        self._request(children[0][0], "split_lo", split)
-        self._request(children[2][0], "split_hi", split)
+        children = split_box(rect.center, rect.half_widths, longest_axis(rect.half_widths))
+
+        def finish(outer: list[float]) -> None:
+            for (center, half_widths), value in zip(children, (outer[0], rect.f_center, outer[1])):
+                self._add_rect(center, half_widths, value)
+            rect.state = RETIRED
+
+        self._request_all([children[0][0], children[2][0]], finish)
 
     def _start_refining(self, rect: Rect) -> None:
         x0 = np.asarray(rect.center, dtype=float)[self._cont]
@@ -192,62 +189,39 @@ class DirectSearch(Solver):
         self._plan_refine_step(rect)
 
     def _plan_refine_step(self, rect: Rect) -> None:
-        assert rect.refiner is not None
-        pending = rect.refiner.pending()
-        wait = _RefineWait(rect, [None] * len(pending))
-        for slot, u in enumerate(pending):
+        refiner = rect.refiner
+        assert refiner is not None
+        geometries = []
+        for u in refiner.pending():
             geometry = np.asarray(rect.center, dtype=float).copy()
             geometry[self._cont] = u
-            self._request(geometry, "refine", (wait, slot))
+            geometries.append(geometry)
+
+        def advance(values: list[float]) -> None:
+            refiner.advance(values)
+            rect.best_value = min(rect.best_value, refiner.best_f)
+
+        self._request_all(geometries, advance)
 
     # -- solver contract ------------------------------------------------------
 
     def ask(self, max_points: int) -> list[Point]:
-        if not self._rects:
-            root = self._new_rect((0.5,) * self._dims, (0.5,) * self._dims)
-            self._request(root.center, "root", root)
-        elif not self._queue and not self._in_flight:
-            self._plan_wave()
+        if not self._queue and not self._waiting:
+            if self._rects:
+                self._plan_wave()
+            else:
+                root = (0.5,) * self._dims
+                self._request_all([root], lambda values: self._add_rect(root, root, values[0]))
         serve = self._queue[:max_points]
         self._queue = self._queue[len(serve):]
-        points = []
-        for req in serve:
-            self._in_flight.setdefault(req.key, []).append(req)
-            points.append(req.point)
-        return points
+        for key, _, on_value in serve:
+            self._waiting.setdefault(key, []).append(on_value)
+        return [point for _, point, _ in serve]
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:
-            for req in self._in_flight.pop(rec.key, []):
-                self._deliver(req, rec.objective)
-
-    def _deliver(self, req: _Request, value: float) -> None:
-        if req.kind == "root":
-            rect = req.payload
-            rect.f_center = value
-            rect.best_value = value
-        elif req.kind in ("split_lo", "split_hi"):
-            split = req.payload
-            if req.kind == "split_lo":
-                split.lo_value = value
-            else:
-                split.hi_value = value
-            if split.lo_value is not None and split.hi_value is not None:
-                self._finish_split(split)
-        else:
-            wait, slot = req.payload
-            wait.values[slot] = value
-            if all(v is not None for v in wait.values):
-                wait.rect.refiner.advance(wait.values)
-                wait.rect.best_value = min(wait.rect.best_value, wait.rect.refiner.best_f)
-
-    def _finish_split(self, split: _Split) -> None:
-        (c_lo, h_lo), (c_mid, h_mid), (c_hi, h_hi) = split.children
-        parent = split.parent
-        self._new_rect(c_lo, h_lo, f_center=split.lo_value, best_value=split.lo_value)
-        self._new_rect(c_mid, h_mid, f_center=parent.f_center, best_value=parent.f_center)
-        self._new_rect(c_hi, h_hi, f_center=split.hi_value, best_value=split.hi_value)
-        parent.state = RETIRED
+            for on_value in self._waiting.pop(rec.key, ()):
+                on_value(rec.objective)
 
     @property
     def rects(self) -> list[Rect]:

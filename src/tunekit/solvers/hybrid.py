@@ -251,26 +251,22 @@ class HybridSearch(Solver):
         centers = select_centers(self._space, self.population, min(cfg.centers, len(self.population)), self._rng)
         children = make_children(self._space, self.population, cfg.population - cfg.elites, cfg, self._rng)
 
-        candidates: list[tuple[Point, CacheKey, str, int]] = []
-        for ci, center in enumerate(centers):
-            for p, key in poll_points(self._space, center):
-                candidates.append((p, key, "poll", ci))
-        for p in children:
-            candidates.append((p, canonical_key(self._space, p), "child", -1))
-
         gen = _Generation(centers=centers, poll_keys=[[] for _ in centers], children_keys=[])
+        # each candidate carries the key list it joins: its center's polls or the children
+        candidates: list[tuple[Point, CacheKey, list[CacheKey]]] = []
+        for center, keys in zip(centers, gen.poll_keys):
+            candidates.extend((p, key, keys) for p, key in poll_points(self._space, center))
+        candidates.extend((p, canonical_key(self._space, p), gen.children_keys) for p in children)
+
         points: list[Point] = []
         served: set[CacheKey] = set()
-        for point, key, role, ci in candidates:
+        for point, key, joins in candidates:
             if len(points) >= max_points and key not in served:
                 continue
             if key not in served:
                 served.add(key)
                 points.append(point)
-            if role == "poll":
-                gen.poll_keys[ci].append(key)
-            else:
-                gen.children_keys.append(key)
+            joins.append(key)
         gen.asked_keys = served
         self._generation = gen
         return points

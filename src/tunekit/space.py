@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -125,15 +125,6 @@ class SearchSpace:
     @property
     def categorical_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if isinstance(v, CategoricalVariable)]
-
-    def point(self, values: Mapping[str, Value] | Sequence[Value]) -> Point:
-        """Build a Point from a name->value mapping or an ordered sequence."""
-        if isinstance(values, Mapping):
-            missing = [v.name for v in self.variables if v.name not in values]
-            if missing:
-                raise KeyError(f"missing values for {missing}")
-            return Point(values[v.name] for v in self.variables)
-        return Point(values)
 
     def to_dict(self, p: Point) -> dict[str, Value]:
         if len(p.values) != len(self.variables):

@@ -8,6 +8,7 @@ against the evaluation budget.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -99,11 +100,14 @@ def _csv_cell(value: Value) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a CSV file, quoting a cell only when it holds a comma, a quote or
-    a newline."""
+    a newline. A row with a carriage return in any cell has every cell quoted:
+    the writer quotes only the characters of its line terminator, and a
+    reader ends a line at a bare carriage return."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        minimal = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in itertools.chain([header], rows):
+            (quote_all if "\r" in "".join(row) else minimal).writerow(row)
 
 
 @dataclass

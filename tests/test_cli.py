@@ -129,6 +129,12 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
         ({"solvers": [{"type": "random", "share": "false"}]}, "solvers[0].share"),
         ({"solvers": [{"type": "random", "share": 0}]}, "solvers[0].share"),
         ({"solvers": [{"type": "random", "label": 5}]}, "solvers[0].label"),
+        ({"space": [{"name": "k", "type": "integer", "bounds": [1.7, 5.9]}]}, "k.bounds"),
+        ({"space": [{"name": "k", "type": "integer", "bounds": [True, 5]}]}, "k.bounds"),
+        ({"space": [{"name": "x", "type": "continuous", "bounds": ["-1", 1.0]}]}, "x.bounds"),
+        ({"space": [{"name": "x", "type": "continuous", "bounds": [-1, True]}]}, "x.bounds"),
+        ({"space": [{"name": "x", "type": "continuous", "bounds": [float("-inf"), 1.0]}]}, "x.bounds"),
+        ({"space": [{"name": "x", "type": "continuous", "bounds": [0, 10**400]}]}, "too large"),
     ],
 )
 def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -145,12 +151,13 @@ def test_csv_outputs_quote_cells_that_need_it(tmp_path: Path):
         tmp_path / "cfg.json",
         space=[
             {"name": "x", "type": "continuous", "bounds": [-5.0, 5.0]},
-            {"name": "c", "type": "categorical", "levels": ["a,b", 'say "hi"', "line\nbreak"]},
+            {"name": "c", "type": "categorical", "levels": ["a,b", 'say "hi"', "line\nbreak", "carriage\rreturn"]},
         ],
         objective={"builtin": {"name": "mixed_synthetic"}},
         solvers=[
             {"type": "random", "label": "rand,1", "params": {"batch": 4}},
             {"type": "lhs", "label": 'lhs "2"', "params": {"batch": 4}},
+            {"type": "random", "label": "rand\r3", "params": {"batch": 4}},
         ],
         budget={"evaluations": 30, "concurrency": 1},
     )
@@ -160,8 +167,8 @@ def test_csv_outputs_quote_cells_that_need_it(tmp_path: Path):
         header, *rows = list(csv.reader(fh))
     assert header == ["eval_id", "iteration", "solver_id", "x", "c", "objective", "status", "wall_time_ms"]
     assert len(rows) == 30 and all(len(row) == len(header) for row in rows)
-    assert {row[2] for row in rows} == {"rand,1", 'lhs "2"'}
-    assert {row[4] for row in rows} == {"a,b", 'say "hi"', "line\nbreak"}
+    assert {row[2] for row in rows} == {"rand,1", 'lhs "2"', "rand\r3"}
+    assert {row[4] for row in rows} == {"a,b", 'say "hi"', "line\nbreak", "carriage\rreturn"}
 
     bench_out = tmp_path / "bench"
     result = run_cli("bench", "--config", str(config), "--seeds", "2", "--out", str(bench_out))
@@ -170,7 +177,7 @@ def test_csv_outputs_quote_cells_that_need_it(tmp_path: Path):
         with open(bench_out / name, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(header) == width and all(len(row) == width for row in rows)
-        assert {row[0] for row in rows} == {"rand,1", 'lhs "2"'}
+        assert {row[0] for row in rows} == {"rand,1", 'lhs "2"', "rand\r3"}
 
 
 def test_tune_bad_objective_spec_exit_1(tmp_path: Path):

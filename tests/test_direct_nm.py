@@ -21,7 +21,7 @@ from tunekit.solvers.direct import (
     split_box,
 )
 from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize, nm_minimize_many
-from tunekit.space import ContinuousVariable, Point, SearchSpace, encode
+from tunekit.space import CategoricalVariable, ContinuousVariable, Point, SearchSpace, encode
 from tunekit.trials import Budget, TrialRecord
 
 
@@ -122,6 +122,28 @@ def test_middle_child_costs_no_evaluation():
     assert [r.state for r in rects] == [RETIRED, ACTIVE, ACTIVE, ACTIVE]
     mid = rects[2]
     assert mid.center == (0.5,) and mid.f_center == 7.0
+
+
+def test_split_whose_outer_centers_share_a_key_takes_one_record():
+    # on a 2-level categorical, the low child [0, 1/3] splits into outer
+    # centers 1/18 and 5/18, and both snap to level "a"
+    space = SearchSpace([CategoricalVariable("c", ("a", "b"))])
+    value = {"a": 0.0, "b": 1.0}
+    solver = DirectSearch(space)
+    (root,) = solver.ask(10)
+    solver.tell([rec(space, root, value[root.values[0]], 1)])
+    first = solver.ask(10)
+    assert [p.values for p in first] == [("a",), ("b",)]
+    solver.tell([rec(space, p, value[p.values[0]], 2 + i) for i, p in enumerate(first)])
+    second = solver.ask(10)
+    assert [p.values for p in second] == [("a",), ("a",)]
+    solver.tell([rec(space, second[0], 0.0, 4)])
+    rects = solver.rects
+    assert [r.state for r in rects] == [RETIRED, RETIRED] + [ACTIVE] * 5
+    assert [r.center[0] for r in rects[4:]] == pytest.approx([1 / 18, 3 / 18, 5 / 18])
+    assert [r.f_center for r in rects[4:]] == [0.0, 0.0, 0.0]
+    # nothing is left waiting, so the next ask plans a new wave
+    assert len(solver.ask(10)) == 4
 
 
 def test_tiling_exact_with_rationals():

@@ -3,14 +3,16 @@
 Two points are the same point iff their encoded coordinates agree after
 rounding to 12 decimal digits. The manager encodes and keys each asked point
 once and stores the key and the encoded row on its record; solvers read
-`TrialRecord.key` and `TrialRecord.encoded` instead of computing them again.
+`TrialRecord.key` and `TrialRecord.encoded` instead of computing them again,
+and key the points they build by their encoded rows (decode_keyed,
+`sampling.lhs_encoded`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .space import Point, SearchSpace, encode
+from .space import Point, SearchSpace, decode_rows, encode
 
 KEY_DIGITS = 12
 
@@ -26,3 +28,9 @@ def row_key(row: np.ndarray) -> CacheKey:
 def canonical_key(space: SearchSpace, p: Point) -> CacheKey:
     """Key of a point; raises like encode() for an invalid point."""
     return row_key(encode(space, p))
+
+
+def decode_keyed(space: SearchSpace, rows) -> list[tuple[Point, CacheKey]]:
+    """The points that encoded rows snap to, with their keys, in one decode."""
+    points, encoded = decode_rows(space, rows)
+    return list(zip(points, map(row_key, encoded)))

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, RunConfig, instantiate_solvers, load_run_config
-from .manager import Objective, TuningManager
+from .manager import Objective, TuningManager, check_param
 from .objectives import build_objective
 from .schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
 from .trials import TuningHistory, write_csv
@@ -193,22 +193,22 @@ def simulate_allocation(scenario_path: str) -> None:
     """Print makespan per workers-per-train for a grid/batch scenario."""
     try:
         raw = json.loads(Path(scenario_path).read_text(encoding="utf-8"))
-        grid = int(raw["grid"])
-        batch = int(raw["batch"])
-        iterations = int(raw.get("iterations", 1))
+        grid, batch, iterations = raw["grid"], raw["batch"], raw.get("iterations", 1)
+        for name, value in (("grid", grid), ("batch", batch), ("iterations", iterations)):
+            check_param(name, value, integer=True, minimum=1)
         if "model" in raw:
-            model = CostModel(
-                t_serial=float(raw["model"]["t_serial"]),
-                c_comm=float(raw["model"]["c_comm"]),
-                t_fixed=float(raw["model"]["t_fixed"]),
-            )
+            params = [raw["model"][name] for name in ("t_serial", "c_comm", "t_fixed")]
+            for name, value in zip(("t_serial", "c_comm", "t_fixed"), params):
+                check_param(f"model.{name}", value, integer=False, minimum=0)
+            model = CostModel(*(float(v) for v in params))
             residual = None
         elif "observations" in raw:
-            model, residual = fit_cost_model([(int(w), float(t)) for w, t in raw["observations"]])
+            for w, t in raw["observations"]:
+                check_param("observations workers", w, integer=True, minimum=1)
+                check_param("observations time", t, integer=False, minimum=0)
+            model, residual = fit_cost_model([(w, float(t)) for w, t in raw["observations"]])
         else:
             raise ValueError("scenario needs either 'model' or 'observations'")
-        if grid < 1 or batch < 1 or iterations < 1:
-            raise ValueError("grid, batch, and iterations must be >= 1")
     except FileNotFoundError:
         _fail(1, f"scenario file not found: {scenario_path}")
         return

@@ -53,6 +53,12 @@ class RunConfig:
     out_dir: Path | None
 
 
+def _json_object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 def build_space(entries: list[dict]) -> SearchSpace:
     variables = []
     for entry in entries:
@@ -68,7 +74,10 @@ def build_space(entries: list[dict]) -> SearchSpace:
             elif kind == "integer":
                 variables.append(IntegerVariable(name, lo, hi))
             elif kind == "categorical":
-                variables.append(CategoricalVariable(name, tuple(entry["levels"])))
+                levels = entry["levels"]
+                if not isinstance(levels, list) or not all(isinstance(level, str) for level in levels):
+                    raise ConfigError(f"{name}.levels must be a JSON list of strings, got {levels!r}")
+                variables.append(CategoricalVariable(name, tuple(levels)))
             else:
                 raise ConfigError(f"unknown variable type {kind!r} for {name!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -77,7 +86,7 @@ def build_space(entries: list[dict]) -> SearchSpace:
             raise ConfigError(f"bad variable entry {entry!r}: {exc}") from None
     try:
         return SearchSpace(variables)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # the encoding holds bounds as floats
         raise ConfigError(str(exc)) from None
 
 
@@ -85,7 +94,7 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
     try:
         space = build_space(raw["space"])
         objective_spec = raw["objective"]
-        budget_raw = raw.get("budget", {})
+        budget_raw = _json_object(raw.get("budget", {}), "budget")
         evaluations = budget_raw.get("evaluations", 100)
         concurrency = budget_raw.get("concurrency", 1)
         check_param("budget.evaluations", evaluations, integer=True, minimum=1)
@@ -96,6 +105,7 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             raise ConfigError("config needs at least one solver")
         setups = []
         for i, entry in enumerate(solver_entries):
+            _json_object(entry, f"solvers[{i}]")
             solver_type = entry.get("type")
             if solver_type not in SOLVERS:
                 raise ConfigError(f"unknown solver type {solver_type!r}")
@@ -105,9 +115,8 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             label = entry.get("label", f"{solver_type}-{i}")
             if not isinstance(label, str):
                 raise ConfigError(f"solvers[{i}].label must be a string, got {label!r}")
-            setups.append(
-                SolverSetup(type=solver_type, params=dict(entry.get("params", {})), share=share, label=label)
-            )
+            params = _json_object(entry.get("params", {}), f"solvers[{i}].params")
+            setups.append(SolverSetup(type=solver_type, params=dict(params), share=share, label=label))
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         check_param("seed", seed, integer=True, minimum=0)
         out = out_override if out_override is not None else raw.get("out")

@@ -3,14 +3,15 @@ acquire/evaluate/return loop with concurrent evaluation dispatch.
 
 Each iteration is one pass over the asked points. The manager collects asks
 from every live solver (round-robin, capped so the combined batch never
-exceeds the remaining budget) and encodes and keys each asked point once.
-Points whose key is neither cached nor already asked this iteration are new;
-each is owned by its first asker and evaluated on up to K worker threads,
-under eval_ids that follow the order of asking. The iteration's records, new
-and replayed from the cache, are sorted by eval_id once, and each solver is
-told the records of its own asks plus, if it was registered with sharing,
-every other record of the iteration. A tell holds each record once, in
-eval_id order, so the outcome is independent of completion order and
+exceeds the remaining budget). It validates each asked point, the only check
+of the points solvers hand in, encodes each ask in one call and keys each row
+once. Points whose key is neither cached nor already asked this iteration are
+new; each is owned by its first asker and evaluated on up to K worker
+threads, under eval_ids that follow the order of asking. The iteration's
+records, new and replayed from the cache, are sorted by eval_id once, and
+each solver is told the records of its own asks plus, if it was registered
+with sharing, every other record of the iteration. A tell holds each record
+once, in eval_id order, so the outcome is independent of completion order and
 therefore of K. Every record carries its point's key and encoded row.
 
 A solver whose ask, is_done or tell raises, or that asks for a point that is
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cache import CacheKey, row_key
-from .space import Point, SearchSpace, encode
+from .space import Point, SearchSpace, encode_points
 from .trials import (
     PENALTY_OBJECTIVE,
     STATUS_FAIL,
@@ -187,7 +188,7 @@ class TuningManager:
                 break
             try:
                 points = list(reg.solver.ask(capacity))[:capacity]
-                rows = [encode(self.space, p) for p in points]  # validates each point
+                rows = encode_points(self.space, points)  # validates each point
             except Exception:
                 logger.exception(
                     "solver %s ask raised or asked an invalid point; isolating it", reg.solver.solver_id

@@ -2,6 +2,9 @@
 
 Both samplers are pure functions of (space, request): a fixed seed always
 reproduces the same sample (numpy's PCG64 generator defines the stream).
+
+LHS's map from a design draw to a value lives in _lhs_values only; points
+and encoded rows are built from its value columns by the space module.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
+from .space import (
+    CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace, encode_values, value_points
+)
 
 
 @dataclass(frozen=True)
@@ -61,48 +66,34 @@ def lhs_design(space: SearchSpace, req: SampleRequest) -> np.ndarray:
     return design
 
 
-def lhs_point(space: SearchSpace, row: np.ndarray) -> Point:
-    """The point of one lhs_design row.
-
-    Integer variables map the stratified draw through the uniform-integer
-    quantile (lo + floor(u * range_size)), so when n does not exceed the range
-    size distinct strata land on distinct integers.
-    """
-    values = []
-    for var, u in zip(space.variables, row):
+def _lhs_values(space: SearchSpace, design: np.ndarray) -> np.ndarray:
+    """The value columns of lhs_design rows: continuous variables map the
+    stratified draw u to lo + u * (hi - lo); integer variables map it
+    through the uniform-integer quantile (lo + floor(u * range_size)), so
+    when n does not exceed the range size distinct strata land on distinct
+    integers; a categorical column already holds level indices."""
+    values = design.copy()
+    for j, var in enumerate(space.variables):
+        u = design[:, j]
         if isinstance(var, ContinuousVariable):
-            values.append(var.lo + u * (var.hi - var.lo))
+            values[:, j] = var.lo + u * (var.hi - var.lo)
         elif isinstance(var, IntegerVariable):
-            size = var.hi - var.lo + 1
-            values.append(min(var.lo + int(u * size), var.hi))
-        else:
-            values.append(var.levels[int(u)])
-    return Point(values)
+            values[:, j] = np.minimum(var.lo + np.floor(u * (var.hi - var.lo + 1)), var.hi)
+    return values
+
+
+def lhs_points(space: SearchSpace, design: np.ndarray) -> list[Point]:
+    """The points of lhs_design rows."""
+    return value_points(space, _lhs_values(space, design))
 
 
 def lhs_sample(space: SearchSpace, req: SampleRequest) -> list[Point]:
     """Latin hypercube sample: one point per stratum for every continuous and
-    integer variable, levels balanced for categorical variables (see
-    lhs_point for how a design row becomes a point)."""
-    return [lhs_point(space, row) for row in lhs_design(space, req)]
+    integer variable, levels balanced for categorical variables."""
+    return lhs_points(space, lhs_design(space, req))
 
 
 def lhs_encoded(space: SearchSpace, design: np.ndarray) -> np.ndarray:
-    """encode(space, lhs_point(space, row)) for every design row, bit for bit,
-    in one numpy pass per variable: each channel repeats lhs_point's and
-    encode's arithmetic in the same order, without building or validating a
+    """The encoded rows of lhs_points(space, design), without building a
     Point per row."""
-    out = np.empty_like(design)
-    for j, var in enumerate(space.variables):
-        u = design[:, j]
-        if isinstance(var, ContinuousVariable):
-            out[:, j] = (var.lo + u * (var.hi - var.lo) - var.lo) / (var.hi - var.lo)
-        elif isinstance(var, IntegerVariable):
-            if var.hi == var.lo:
-                out[:, j] = 0.0
-            else:
-                k = np.minimum(var.lo + np.floor(u * (var.hi - var.lo + 1)), var.hi)
-                out[:, j] = (k - var.lo) / (var.hi - var.lo)
-        else:
-            out[:, j] = np.floor(u)
-    return out
+    return encode_values(space, _lhs_values(space, design))

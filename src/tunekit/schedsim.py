@@ -23,6 +23,9 @@ class CostModel:
     t_fixed: float
 
     def __post_init__(self) -> None:
+        params = (self.t_serial, self.c_comm, self.t_fixed)
+        if not all(math.isfinite(v) for v in params):
+            raise ValueError(f"cost model parameters must be finite, got {params}")
         if self.t_serial < 0 or self.c_comm < 0 or self.t_fixed < 0:
             raise ValueError("cost model parameters must be non-negative")
         if self.t_serial + self.t_fixed <= 0:

@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, canonical_key
+from ..cache import CacheKey, row_key
 from ..manager import Solver, check_param
-from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_point, lhs_sample
-from ..space import Point, SearchSpace, decode, encode, mixed_sqdist_matrix, snap_encoded
+from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_points
+from ..space import Point, SearchSpace, decode, encode_points, mixed_sqdist_matrix, snap_encoded
 from ..trials import TrialRecord
 from .neldermead import nm_minimize_many
 
@@ -132,7 +132,7 @@ class GPModel:
         return mean, np.maximum(var, 0.0)
 
     def posterior(self, p: Point | np.ndarray) -> tuple[float, float]:
-        x = encode(self.space, p) if isinstance(p, Point) else np.asarray(p, dtype=float)
+        x = encode_points(self.space, [p])[0] if isinstance(p, Point) else np.asarray(p, dtype=float)
         mean, var = self.posterior_many(x[None, :])
         return float(mean[0]), float(var[0])
 
@@ -209,15 +209,15 @@ def propose(
     (LCB, rank) order, rank being a candidate's place in the first LCB order
     and the refined points ranking ahead of all candidates; after each pick
     the pool's variances are conditioned on it as a believer fantasy, and
-    the LCB order is taken again. A pool point is built and keyed only when
-    it is considered."""
+    the LCB order is taken again. Pool points are keyed by their encoded
+    rows, and a Point is built only for a pick."""
     design = lhs_design(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
     rows = lhs_encoded(space, design)
     mean, var = model.posterior_many(rows)
     order = np.argsort(mean - kappa * np.sqrt(var), kind="stable")
     ranks = np.empty(len(order), dtype=int)
     ranks[order] = np.arange(len(order))
-    points: list[Point | None] = [None] * len(order)
+    refined_coords = np.empty((0, len(space.variables)))
 
     cont = space.continuous_indices
     if cont:
@@ -241,7 +241,7 @@ def propose(
             mean = np.concatenate([mean, refined_mean])
             var = np.concatenate([var, refined_var])
             ranks = np.concatenate([ranks, -restarts + np.arange(len(refined))])
-            points += [decode(space, row) for row in merged]
+            refined_coords = merged
 
     believer = BelieverVariance(model, rows, var) if m > 1 else None
     considered = np.zeros(len(rows), dtype=bool)
@@ -253,13 +253,16 @@ def propose(
             if considered[i]:
                 continue
             considered[i] = True
-            point = lhs_point(space, design[i]) if points[i] is None else points[i]
-            key = canonical_key(space, point)
+            key = row_key(rows[i])
             if key not in used:
                 break
         else:
             break  # every pool point is taken or seen
         used.add(key)
+        if i < len(design):
+            point = lhs_points(space, design[i : i + 1])[0]
+        else:
+            point = decode(space, refined_coords[i - len(design)])
         chosen.append((point, key))
         if len(chosen) < m:
             believer.add(i)
@@ -280,9 +283,9 @@ class BayesSearch(Solver):
         self.model: GPModel | None = None
 
     def _lhs_points(self, n: int) -> list[Point]:
-        points = lhs_sample(self._space, SampleRequest(n, int(self._rng.integers(0, 2**63))))
-        self._seen.update(canonical_key(self._space, p) for p in points)
-        return points
+        design = lhs_design(self._space, SampleRequest(n, int(self._rng.integers(0, 2**63))))
+        self._seen.update(row_key(row) for row in lhs_encoded(self._space, design))
+        return lhs_points(self._space, design)
 
     def ask(self, max_points: int) -> list[Point]:
         if max_points <= 0:

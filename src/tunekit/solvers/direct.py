@@ -14,16 +14,16 @@ rectangle whose diameter falls below it stops being divided and instead runs
 its own simplex search seeded at the rectangle's center; the rectangle is then
 represented by the best value its refinement has found.
 
-Every point the solver needs is a request: its cache key, the snapped point
-and a callback that takes the point's objective value. Requests wait in a
-queue until `ask` serves them, and then under their key until `tell` pops the
-key of a record and calls its callbacks in the order they were served; two
-requests that snap to one point share one record. A split requests its two
-outer centers, and a refinement step its pending vertices, as one group: the
-last value of the group to arrive finishes the split (the low, middle and
-high children are created, in that order, and the parent retires) or
-advances the simplex. The root rectangle is created when its center's value
-arrives.
+Every point the solver needs is a request: its unit-cube geometry and a
+callback that takes the point's objective value. Requests wait in a queue
+until `ask` serves them, snapping the served geometries to points and keys in
+one decode, and then under their key until `tell` pops the key of a record
+and calls its callbacks in the order they were served; two requests that snap
+to one point share one record. A split requests its two outer centers, and a
+refinement step its pending vertices, as one group: the last value of the
+group to arrive finishes the split (the low, middle and high children are
+created, in that order, and the parent retires) or advances the simplex.
+The root rectangle is created when its center's value arrives.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, canonical_key
+from ..cache import CacheKey, decode_keyed
 from ..manager import Solver, check_param
-from ..space import CategoricalVariable, Point, SearchSpace, decode
+from ..space import CategoricalVariable, Point, SearchSpace
 from ..trials import TrialRecord
 from .neldermead import SimplexSearch
 
@@ -124,19 +124,13 @@ class DirectSearch(Solver):
         self._theta = theta
         self._dims = len(space.variables)
         self._cont = space.continuous_indices
+        # a categorical coordinate of the unit cube spans the level indices 0 .. levels - 1
+        self._scale = np.array(
+            [len(v.levels) - 1 if isinstance(v, CategoricalVariable) else 1 for v in space.variables]
+        )
         self._rects: list[Rect] = []
-        self._queue: list[tuple[CacheKey, Point, OnValue]] = []
+        self._queue: list[tuple[Sequence[float], OnValue]] = []
         self._waiting: dict[CacheKey, list[OnValue]] = {}
-
-    # -- geometry <-> points ------------------------------------------------
-
-    def _to_point(self, geometry: Sequence[float]) -> Point:
-        coords = np.asarray(geometry, dtype=float).copy()
-        for i in self._space.categorical_indices:
-            var = self._space.variables[i]
-            assert isinstance(var, CategoricalVariable)
-            coords[i] = coords[i] * (len(var.levels) - 1)
-        return decode(self._space, coords)
 
     def _request_all(self, geometries: Sequence[Sequence[float]], done: Callable[[list[float]], None]) -> None:
         """Queue one request per geometry; once the last value arrives, call
@@ -149,8 +143,7 @@ class DirectSearch(Solver):
                 done(values)
 
         for slot, geometry in enumerate(geometries):
-            point = self._to_point(geometry)
-            self._queue.append((canonical_key(self._space, point), point, functools.partial(fill, slot)))
+            self._queue.append((geometry, functools.partial(fill, slot)))
 
     def _add_rect(self, center: tuple, half_widths: tuple, value: float) -> None:
         self._rects.append(Rect(center, half_widths, f_center=value, best_value=value))
@@ -214,9 +207,10 @@ class DirectSearch(Solver):
                 self._request_all([root], lambda values: self._add_rect(root, root, values[0]))
         serve = self._queue[:max_points]
         self._queue = self._queue[len(serve):]
-        for key, _, on_value in serve:
+        keyed = decode_keyed(self._space, np.reshape([g for g, _ in serve], (-1, self._dims)) * self._scale)
+        for (_, key), (_, on_value) in zip(keyed, serve):
             self._waiting.setdefault(key, []).append(on_value)
-        return [point for _, point, _ in serve]
+        return [p for p, _ in keyed]
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         for rec in records:

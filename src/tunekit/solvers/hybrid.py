@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, canonical_key
+from ..cache import CacheKey, decode_keyed, row_key
 from ..manager import Solver, check_param
-from ..sampling import SampleRequest, lhs_sample
-from ..space import CategoricalVariable, Point, SearchSpace, decode, mixed_sqdist_matrix
+from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_points
+from ..space import CategoricalVariable, Point, SearchSpace, mixed_sqdist_matrix
 from ..trials import TrialRecord
 
 
@@ -150,16 +150,11 @@ def select_centers(
 def poll_points(space: SearchSpace, member: Member) -> list[tuple[Point, CacheKey]]:
     """Compass points at +/- delta along each numeric channel, snapped into
     bounds, with their keys; points that snap onto the center are dropped."""
-    polls = []
-    for i in space.numeric_indices:
-        for sign in (+1.0, -1.0):
-            coords = member.encoded.copy()
-            coords[i] = coords[i] + sign * member.delta
-            candidate = decode(space, coords)  # decode snaps out-of-bounds coords
-            key = canonical_key(space, candidate)
-            if key != member.key:
-                polls.append((candidate, key))
-    return polls
+    rows = np.repeat(member.encoded[None, :], 2 * len(space.numeric_indices), axis=0)
+    for j, i in enumerate(space.numeric_indices):
+        rows[2 * j, i] += member.delta
+        rows[2 * j + 1, i] -= member.delta
+    return [(p, key) for p, key in decode_keyed(space, rows) if key != member.key]
 
 
 def growth_update(center: Member, poll_records: Sequence[TrialRecord], alpha: float) -> GrowthEvent:
@@ -194,10 +189,10 @@ def make_children(
     count: int,
     config: HybridConfig,
     rng: np.random.Generator,
-) -> list[Point]:
+) -> list[tuple[Point, CacheKey]]:
     """Tournament parents, per-variable uniform crossover, encoded-space
     mutation (Gaussian sigma 0.1 for numeric channels, resample-other-level
-    for categorical ones)."""
+    for categorical ones); returns the children with their keys."""
 
     def tournament() -> Member:
         draws = rng.integers(0, len(members), size=config.tournament)
@@ -220,8 +215,8 @@ def make_children(
                         enc[ch] = float(others[int(rng.integers(0, len(others)))])
                 else:
                     enc[ch] = float(np.clip(enc[ch] + rng.normal(0.0, 0.1), 0.0, 1.0))
-        children.append(decode(space, enc))
-    return children
+        children.append(enc)
+    return decode_keyed(space, children)
 
 
 class HybridSearch(Solver):
@@ -241,9 +236,9 @@ class HybridSearch(Solver):
             return []
         if not self.population and self._init_keys is None:
             n = min(self.config.population, max_points)
-            points = lhs_sample(self._space, SampleRequest(n, int(self._rng.integers(0, 2**63))))
-            self._init_keys = [canonical_key(self._space, p) for p in points]
-            return points
+            design = lhs_design(self._space, SampleRequest(n, int(self._rng.integers(0, 2**63))))
+            self._init_keys = [row_key(row) for row in lhs_encoded(self._space, design)]
+            return lhs_points(self._space, design)
         return self._ask_generation(max_points)
 
     def _ask_generation(self, max_points: int) -> list[Point]:
@@ -256,7 +251,7 @@ class HybridSearch(Solver):
         candidates: list[tuple[Point, CacheKey, list[CacheKey]]] = []
         for center, keys in zip(centers, gen.poll_keys):
             candidates.extend((p, key, keys) for p, key in poll_points(self._space, center))
-        candidates.extend((p, canonical_key(self._space, p), gen.children_keys) for p in children)
+        candidates.extend((p, key, gen.children_keys) for p, key in children)
 
         points: list[Point] = []
         served: set[CacheKey] = set()

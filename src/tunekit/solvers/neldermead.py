@@ -20,10 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, canonical_key
+from ..cache import CacheKey, decode_keyed
 from ..manager import Solver, check_param
-from ..sampling import SampleRequest, lhs_sample
-from ..space import Point, SearchSpace, decode, encode
+from ..sampling import SampleRequest, lhs_design, lhs_encoded
+from ..space import Point, SearchSpace
 from ..trials import TrialRecord
 
 REFLECT = 1.0
@@ -225,31 +225,28 @@ class NelderMeadSolver(Solver):
             raise ValueError("Nelder-Mead needs at least one continuous variable")
         self._max_iters = max_iters
         rng = np.random.default_rng(seed)
-        start = lhs_sample(space, SampleRequest(1, int(rng.integers(0, 2**63))))[0]
-        self._template = encode(space, start)
+        start = lhs_design(space, SampleRequest(1, int(rng.integers(0, 2**63))))
+        self._template = lhs_encoded(space, start)[0]
         self._search = SimplexSearch(self._template[self._cont], edge=edge)
-        self._slots: list[tuple[CacheKey, Point]] = []  # one slot per pending simplex point
+        self._slots: list[tuple[Point, CacheKey]] = []  # one slot per pending simplex point
         self._values: list[float | None] = []
 
-    def _to_point(self, u: np.ndarray) -> Point:
-        merged = self._template.copy()
-        merged[self._cont] = u
-        return decode(self._space, merged)
-
     def _prepare_slots(self) -> None:
-        points = [self._to_point(u) for u in self._search.pending()]
-        self._slots = [(canonical_key(self._space, p), p) for p in points]
-        self._values = [None] * len(points)
+        pending = self._search.pending()
+        merged = np.repeat(self._template[None, :], len(pending), axis=0)
+        merged[:, self._cont] = pending
+        self._slots = decode_keyed(self._space, merged)
+        self._values = [None] * len(self._slots)
 
     def ask(self, max_points: int) -> list[Point]:
         if not self._slots:
             self._prepare_slots()
-        unserved = [p for (_, p), v in zip(self._slots, self._values) if v is None]
+        unserved = [p for (p, _), v in zip(self._slots, self._values) if v is None]
         return unserved[:max_points]
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
         by_key = {r.key: r.objective for r in records}
-        for i, (key, _) in enumerate(self._slots):
+        for i, (_, key) in enumerate(self._slots):
             if self._values[i] is None and key in by_key:
                 self._values[i] = by_key[key]
         if self._slots and all(v is not None for v in self._values):

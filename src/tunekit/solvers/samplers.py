@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..manager import Solver, check_param
-from ..sampling import SampleRequest, lhs_design, lhs_point, random_sample
+from ..sampling import SampleRequest, lhs_design, lhs_points, random_sample
 from ..space import Point, SearchSpace
 from ..trials import TrialRecord
 
@@ -60,7 +60,7 @@ class LhsSearch(Solver):
         count = max_points if self._batch is None else min(max_points, self._batch)
         rows = self._design[self._cursor : self._cursor + count]
         self._cursor += len(rows)
-        return [lhs_point(self._space, row) for row in rows]
+        return lhs_points(self._space, rows)
 
     def tell(self, records: list[TrialRecord]) -> None:
         pass

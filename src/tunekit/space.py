@@ -4,6 +4,11 @@ A search space is an ordered list of variables (continuous, integer, or
 categorical). Points are value tuples aligned with that order. All search
 logic operates on the encoded representation: continuous and integer channels
 scaled to [0, 1], categorical channels carrying the level index.
+
+The encoding lives here only: _Codec sets each variable kind's column
+parameters, _snap_values maps encoded rows to value columns (the float, the
+integer, the level index) and encode_values maps value columns back; the
+other conversions are built from those two maps.
 """
 
 from __future__ import annotations
@@ -63,6 +68,21 @@ class CategoricalVariable:
 VariableSpec = Union[ContinuousVariable, IntegerVariable, CategoricalVariable]
 
 
+class _Codec:
+    """Per-column encoding parameters by variable kind: a continuous or integer
+    value spans [lo, hi] over the encoded [0, 1]; a level index spans
+    [0, levels - 1] with width 1, so it is its own encoding."""
+
+    def __init__(self, variables: Sequence[VariableSpec]):
+        params = [
+            (0, len(v.levels) - 1, 1) if isinstance(v, CategoricalVariable) else (v.lo, v.hi, v.hi - v.lo)
+            for v in variables
+        ]
+        self.lo, self.hi, self.width = np.array(params, dtype=float).T.copy()
+        self.scale = np.where(self.width == 0, 1.0, self.width)  # a one-value integer range
+        self.rounded = np.array([not isinstance(v, ContinuousVariable) for v in variables])  # integer, level index
+
+
 def _native(value: Value) -> Value:
     """Numpy scalars from sampler/solver arithmetic become builtin types so
     point values serialize cleanly."""
@@ -95,6 +115,7 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be unique, got {names}")
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "_codec", _Codec(variables))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -117,10 +138,6 @@ class SearchSpace:
     @property
     def continuous_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if isinstance(v, ContinuousVariable)]
-
-    @property
-    def integer_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if isinstance(v, IntegerVariable)]
 
     @property
     def categorical_indices(self) -> list[int]:
@@ -164,86 +181,77 @@ def is_valid(space: SearchSpace, p: Point) -> bool:
     return not validate_point(space, p)
 
 
-def encode(space: SearchSpace, p: Point) -> np.ndarray:
-    """Map a valid point to encoded coordinates.
+def _snap_values(space: SearchSpace, rows) -> np.ndarray:
+    """The snap map, encoded rows to value columns: lo + c * (hi - lo), rounded
+    half up on integer and level-index columns, clipped into [lo, hi]."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(space.variables):
+        raise ArityMismatchError(f"coordinate rows of shape {rows.shape} for {len(space.variables)} variables")
+    codec = space._codec
+    x = codec.lo + rows * codec.width
+    np.floor(x + 0.5, out=x, where=codec.rounded)
+    return np.minimum(np.maximum(x, codec.lo), codec.hi)
 
-    Continuous/integer values are scaled to [0, 1] over their bounds (a
-    degenerate integer range encodes to 0); categorical values carry their
-    level index.
-    """
-    violations = validate_point(space, p)
+
+def encode_values(space: SearchSpace, values: np.ndarray) -> np.ndarray:
+    """The encode map, value columns (the float, the integer, the level
+    index) to encoded rows: (x - lo) / (hi - lo), a one-value integer range
+    encoding to 0."""
+    return (values - space._codec.lo) / space._codec.scale
+
+
+def value_points(space: SearchSpace, values: np.ndarray) -> list[Point]:
+    """The points of an (n, d) array of value columns."""
+    columns = []
+    for var, col in zip(space.variables, values.T.tolist()):
+        if isinstance(var, ContinuousVariable):
+            columns.append(col)
+        elif isinstance(var, IntegerVariable):
+            columns.append([int(x) for x in col])
+        else:
+            columns.append([var.levels[int(x)] for x in col])
+    return [Point(p) for p in zip(*columns)]
+
+
+def encode_points(space: SearchSpace, points: Sequence[Point]) -> np.ndarray:
+    """Encoded (n, d) rows of points; raises InvalidPointError naming every
+    violation (see validate_point) if any point is outside the space."""
+    violations = [v for p in points for v in validate_point(space, p)]
     if violations:
         raise InvalidPointError("; ".join(violations))
-    coords = np.empty(len(space.variables), dtype=float)
-    for i, (var, value) in enumerate(zip(space.variables, p.values)):
-        if isinstance(var, ContinuousVariable):
-            coords[i] = (float(value) - var.lo) / (var.hi - var.lo)
-        elif isinstance(var, IntegerVariable):
-            coords[i] = 0.0 if var.hi == var.lo else (int(value) - var.lo) / (var.hi - var.lo)
-        else:
-            coords[i] = float(var.levels.index(value))
-    return coords
+    values = np.empty((len(points), len(space.variables)))
+    for i, (var, col) in enumerate(zip(space.variables, zip(*(p.values for p in points)))):
+        values[:, i] = [var.levels.index(v) for v in col] if isinstance(var, CategoricalVariable) else col
+    return encode_values(space, values)
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def encode(space: SearchSpace, p: Point) -> np.ndarray:
+    """The encoded row of one point (see encode_points)."""
+    return encode_points(space, [p])[0]
+
+
+def decode_rows(space: SearchSpace, rows) -> tuple[list[Point], np.ndarray]:
+    """Snap every row of an (n, d) array of coordinates (see _snap_values)
+    and return the valid points together with their encoded rows, which
+    equal encode() of each point byte for byte."""
+    values = _snap_values(space, rows)
+    return value_points(space, values), encode_values(space, values)
 
 
 def decode(space: SearchSpace, coords: Sequence[float]) -> Point:
-    """Inverse of encode with snapping: clip continuous channels, round-half-up
-    then clip integer and categorical channels. Always returns a valid point.
+    """Inverse of encode with snapping (see _snap_values). Always returns a
+    valid point.
 
     decode(encode(p)) returns integer and categorical values unchanged, but a
     continuous value only to within a few ulps of its bounds (at most
     4 * eps * max(|lo|, |hi|)): scaling to [0, 1] and back rounds twice."""
-    if len(coords) != len(space.variables):
-        raise ArityMismatchError(
-            f"coordinate vector has {len(coords)} channels for {len(space.variables)} variables"
-        )
-    values: list[Value] = []
-    for var, c in zip(space.variables, coords):
-        c = float(c)
-        if isinstance(var, ContinuousVariable):
-            values.append(min(max(var.lo + c * (var.hi - var.lo), var.lo), var.hi))
-        elif isinstance(var, IntegerVariable):
-            if var.hi == var.lo:
-                values.append(var.lo)
-            else:
-                k = _round_half_up(var.lo + c * (var.hi - var.lo))
-                values.append(min(max(k, var.lo), var.hi))
-        else:
-            idx = min(max(_round_half_up(c), 0), len(var.levels) - 1)
-            values.append(var.levels[idx])
-    return Point(values)
+    return value_points(space, _snap_values(space, [coords]))[0]
 
 
 def snap_encoded(space: SearchSpace, rows: np.ndarray) -> np.ndarray:
-    """encode(decode(row)) for every row of an (n, d) array, bit for bit.
-
-    Each channel repeats decode's and encode's arithmetic in the same order
-    (lo + c * (hi - lo), clip, then (x - lo) / (hi - lo); integer and
-    categorical channels round half up), so the rows match the point round
-    trip without building a Point per row."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(space.variables):
-        raise ArityMismatchError(
-            f"coordinate rows of shape {rows.shape} for {len(space.variables)} variables"
-        )
-    out = np.empty_like(rows)
-    for i, var in enumerate(space.variables):
-        c = rows[:, i]
-        if isinstance(var, ContinuousVariable):
-            x = np.clip(var.lo + c * (var.hi - var.lo), var.lo, var.hi)
-            out[:, i] = (x - var.lo) / (var.hi - var.lo)
-        elif isinstance(var, IntegerVariable):
-            if var.hi == var.lo:
-                out[:, i] = 0.0
-            else:
-                k = np.clip(np.floor(var.lo + c * (var.hi - var.lo) + 0.5), var.lo, var.hi)
-                out[:, i] = (k - var.lo) / (var.hi - var.lo)
-        else:
-            out[:, i] = np.clip(np.floor(c + 0.5), 0, len(var.levels) - 1)
-    return out
+    """encode(decode(row)) for every row of an (n, d) array, without building
+    a Point per row."""
+    return encode_values(space, _snap_values(space, rows))
 
 
 def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -135,6 +135,13 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
         ({"space": [{"name": "x", "type": "continuous", "bounds": [-1, True]}]}, "x.bounds"),
         ({"space": [{"name": "x", "type": "continuous", "bounds": [float("-inf"), 1.0]}]}, "x.bounds"),
         ({"space": [{"name": "x", "type": "continuous", "bounds": [0, 10**400]}]}, "too large"),
+        ({"space": [{"name": "k", "type": "integer", "bounds": [0, 10**400]}]}, "too large"),
+        ({"space": [{"name": "c", "type": "categorical", "levels": "abc"}]}, "c.levels"),
+        ({"space": [{"name": "c", "type": "categorical", "levels": [True, False]}]}, "c.levels"),
+        ({"solvers": ["random"]}, "solvers[0]"),
+        ({"solvers": {"type": "random"}}, "solvers"),
+        ({"budget": [10]}, "budget"),
+        ({"solvers": [{"type": "random", "params": [["batch", 4]]}]}, "solvers[0].params"),
     ],
 )
 def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -351,6 +358,28 @@ def test_simulate_allocation_grid_one(tmp_path: Path):
     table_rows = [l for l in result.output.splitlines() if l.strip().startswith("1 ")]
     assert len(table_rows) == 1
     assert "optimal w=1" in result.output
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"grid": 4.7}, "grid"),
+        ({"grid": True}, "grid"),
+        ({"batch": "8"}, "batch"),
+        ({"iterations": 0}, "iterations"),
+        ({"model": {"t_serial": "10", "c_comm": 0, "t_fixed": 1}}, "model.t_serial"),
+        ({"model": {"t_serial": float("nan"), "c_comm": 0, "t_fixed": 1}}, "model.t_serial"),
+        ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": float("inf")}}, "model.t_fixed"),
+        ({"observations": [[1, 65.0], ["2", 34.0], [4, 20.0]]}, "observations workers"),
+    ],
+)
+def test_simulate_allocation_bad_field_exit_1(tmp_path: Path, overrides, field):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"grid": 4, "batch": 2, **overrides}), encoding="utf-8")
+    result = run_cli("simulate-allocation", "--scenario", str(scenario))
+    assert result.exit_code == 1, result.output
+    assert f"invalid scenario: {field}" in result.output
+    assert "optimal" not in result.output
 
 
 def test_simulate_allocation_invalid_scenario(tmp_path: Path):

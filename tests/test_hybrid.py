@@ -235,15 +235,16 @@ def test_child_of_identical_parents_without_mutation_is_parent():
     cfg = HybridConfig(mutation_prob=0.0)
     m = member(MIXED, [0.5, 16, "b"], 1.0)
     children = make_children(MIXED, [m, m], 5, cfg, np.random.default_rng(0))
-    assert all(c.values == m.point.values for c in children)
+    assert all(c.values == m.point.values and key == m.key for c, key in children)
 
 
 def test_children_are_valid_points():
     cfg = HybridConfig(mutation_prob=0.9, crossover_prob=0.9)
     rng = np.random.default_rng(2)
     members = [member(MIXED, [0.1, 3, "a"], 1.0), member(MIXED, [0.9, 29, "c"], 2.0)]
-    for child in make_children(MIXED, members, 50, cfg, rng):
+    for child, key in make_children(MIXED, members, 50, cfg, rng):
         assert is_valid(MIXED, child)
+        assert key == canonical_key(MIXED, child)
 
 
 def test_children_deterministic_per_seed():

@@ -3,13 +3,19 @@ tolerance, and the run summary."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tunekit.space as space_module
 from helpers import RecordingSolver, ScriptedSolver, counted
 from tunekit.cache import canonical_key
+from tunekit.cli import _run_once
+from tunekit.config import instantiate_solvers, load_run_config
 from tunekit.manager import Solver, TuningManager
-from tunekit.objectives import BuiltinObjective
+from tunekit.objectives import BuiltinObjective, build_objective
 from tunekit.solvers import HybridConfig, HybridSearch, RandomSearch
 from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace, encode
 from tunekit.trials import PENALTY_OBJECTIVE, Budget, TuningHistory
@@ -265,6 +271,26 @@ def test_records_carry_their_read_only_encoded_row():
         assert rec.key == canonical_key(space, rec.point)
         with pytest.raises(ValueError):
             rec.encoded[0] = 0.5
+
+
+def test_portfolio_validates_each_asked_point_once(monkeypatch):
+    # the manager checks what solvers hand in; solvers key the points they
+    # build from their own encoded rows and validate nothing again
+    calls = []
+    original = space_module.validate_point
+
+    def counting(space, p):
+        calls.append(p)
+        return original(space, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tunekit") and getattr(module, "validate_point", None) is original:
+            monkeypatch.setattr(module, "validate_point", counting)
+    config = load_run_config(Path(__file__).parent / "golden" / "portfolio.json")
+    objective = build_objective(config.objective_spec, config.space, config.seed)
+    history = _run_once(config, config.seed, objective, instantiate_solvers(config, config.seed))
+    assert history.evaluations == config.budget.max_evaluations
+    assert len(calls) == history.points_asked
 
 
 # -- history / summary ---------------------------------------------------------------------

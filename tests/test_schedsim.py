@@ -19,6 +19,9 @@ def test_cost_model_validation():
         CostModel(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         CostModel(0.0, 1.0, 0.0)  # t(1) would be 0
+    for params in ((float("nan"), 0.0, 1.0), (1.0, float("nan"), 1.0), (1.0, 0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(*params)
     with pytest.raises(ValueError):
         WORKED.train_time(0)
 

@@ -17,6 +17,7 @@ from tunekit.space import (
     Point,
     SearchSpace,
     decode,
+    decode_rows,
     distance,
     encode,
     is_valid,
@@ -172,6 +173,9 @@ def test_snap_encoded_ties_and_clipping():
     snapped = snap_encoded(space, rows)
     for row, got in zip(rows, snapped):
         assert got.tobytes() == encode(space, decode(space, row)).tobytes()
+    points, encoded = decode_rows(space, rows)
+    assert points == [decode(space, row) for row in rows]
+    assert [row.tobytes() for row in encoded] == [encode(space, p).tobytes() for p in points]
     assert snapped[:, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
     assert snapped[:, 1].tolist() == [0.0, 1.0, 2.0, 2.0]
     assert snapped[:, 2].tolist() == [0.0, 1.0, 0.5, 0.0]
@@ -286,3 +290,6 @@ def test_snap_encoded_matches_point_round_trip(space, seed):
     snapped = snap_encoded(space, rows)
     for row, got in zip(rows, snapped):
         assert got.tobytes() == encode(space, decode(space, row)).tobytes()
+    points, encoded = decode_rows(space, rows)
+    assert points == [decode(space, row) for row in rows]
+    assert [row.tobytes() for row in encoded] == [encode(space, p).tobytes() for p in points]

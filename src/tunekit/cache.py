@@ -1,11 +1,12 @@
 """Point identity: the key under which evaluations are deduplicated.
 
 Two points are the same point iff their encoded coordinates agree after
-rounding to 12 decimal digits. The manager encodes and keys each asked point
-once and stores the key and the encoded row on its record; solvers read
-`TrialRecord.key` and `TrialRecord.encoded` instead of computing them again,
-and key the points they build by their encoded rows (decode_keyed,
-`sampling.lhs_encoded`).
+rounding to 12 decimal digits, so `config.build_space` rejects an integer
+range whose neighbouring values would share a key. The manager encodes and
+keys each asked point once and stores the key and the encoded row on its
+record; solvers read `TrialRecord.key` and `TrialRecord.encoded` instead of
+computing them again, and key the points they build by their encoded rows
+(decode_keyed, `sampling.lhs_encoded`).
 """
 
 from __future__ import annotations

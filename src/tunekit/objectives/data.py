@@ -24,6 +24,9 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or len(self.labels) != self.features.shape[0]:
             raise DatasetError("features must be (rows, cols) aligned with labels")
+        bad_rows = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad_rows.size:  # k-NN cannot order NaN distances
+            raise DatasetError(f"row {bad_rows[0] + 1} has a NaN or infinite feature value")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -67,7 +70,10 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
             labels.append(row[label_idx])
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=float), labels, feature_cols)
+    try:
+        return Dataset(np.array(rows, dtype=float), labels, feature_cols)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def make_blobs(

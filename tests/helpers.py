@@ -3,16 +3,31 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import tunekit
 from tunekit.cache import canonical_key
 from tunekit.manager import Solver
+from tunekit.objectives import Dataset
 from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import CANDIDATE_COUNT, REFINE_MAX_ITERS, GPModel
 from tunekit.solvers.neldermead import SimplexSearch
 from tunekit.space import Point, SearchSpace, decode, encode
 from tunekit.trials import TrialRecord
+
+
+def run_python(code: str) -> str:
+    """Stdout of a fresh interpreter running code, with the tunekit package
+    these tests import on its path; raises if it exits non-zero."""
+    src = str(Path(tunekit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
 
 
 def strip_wall_time(history_csv: str) -> str:
@@ -29,6 +44,26 @@ def encoded_distance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> floa
     for i in space.categorical_indices:
         total += 0.0 if ea[i] == eb[i] else 1.0
     return math.sqrt(total)
+
+
+def scalar_knn_error_rate(train: Dataset, validation: Dataset, k: int, weight: str, power: float) -> float:
+    """k-NN misclassification rate one validation row at a time: a stable
+    argsort of the row's distances (np.sum(|diff| ** power, axis=2) **
+    (1 / power)), then the first k neighbours' votes added in order; argmax
+    takes the first maximum, the smallest label."""
+    labels = sorted(set(train.labels))
+    label_idx = {lab: i for i, lab in enumerate(labels)}
+    diffs = np.abs(validation.features[:, None, :] - train.features[None, :, :])
+    dists = np.sum(diffs**power, axis=2) ** (1.0 / power)
+    errors = 0
+    for row, true_label in enumerate(validation.labels):
+        votes = np.zeros(len(labels))
+        for t in np.argsort(dists[row], kind="stable")[:k]:
+            w = 1.0 if weight == "uniform" else 1.0 / (dists[row, t] + 1e-12)
+            votes[label_idx[train.labels[t]]] += w
+        if labels[int(np.argmax(votes))] != true_label:
+            errors += 1
+    return errors / len(validation)
 
 
 def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray):

@@ -4,13 +4,11 @@ hyperparameter fallbacks, acquisition behavior, and Branin quality."""
 from __future__ import annotations
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from helpers import dense_believer_posterior, dense_posterior_oracle, reference_propose
+from helpers import dense_believer_posterior, dense_posterior_oracle, reference_propose, run_python
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
@@ -355,8 +353,7 @@ def test_scipy_linalg_loads_with_a_bayes_solver_not_with_the_cli():
         "make_solver('bayes', BRANIN_SPACE, 0)\n"
         "print(before, 'scipy.linalg' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert run_python(code).split() == ["False", "True"]
 
 
 def test_first_ask_is_lhs_init():

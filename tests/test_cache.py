@@ -4,6 +4,7 @@ asker wins, and one evaluation per key at any concurrency."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from helpers import ScriptedSolver, counted
 from tunekit.cache import canonical_key
@@ -106,3 +107,17 @@ def test_concurrent_mixed_keys():
     history, calls = run(solvers, concurrency=4)
     assert len(calls) == len(history.records) == 16
     assert {r.key for r in history.records} == {canonical_key(SPACE, p) for p in points}
+
+
+def test_neighbouring_integers_at_the_range_limit_get_distinct_keys():
+    from tunekit.cache import KEY_DIGITS
+    from tunekit.config import ConfigError, build_space
+
+    width = 10**KEY_DIGITS
+    for lo in (0, -(width // 2), 2**53 - width):
+        space = build_space([{"name": "k", "type": "integer", "bounds": [lo, lo + width]}])
+        for v in (lo, lo + 1, lo + width // 2, lo + width // 2 + 1, lo + width - 1):
+            assert canonical_key(space, Point([v])) != canonical_key(space, Point([v + 1]))
+    for bounds in ([0, width + 1], [0, 2**60], [2**60, 2**60 + 10], [-(2**53) - 1, 0]):
+        with pytest.raises(ConfigError, match="k.bounds too large"):
+            build_space([{"name": "k", "type": "integer", "bounds": bounds}])

@@ -142,6 +142,7 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
         ({"solvers": {"type": "random"}}, "solvers"),
         ({"budget": [10]}, "budget"),
         ({"solvers": [{"type": "random", "params": [["batch", 4]]}]}, "solvers[0].params"),
+        ({"space": [{"name": "k", "type": "integer", "bounds": [0, 2**60]}]}, "k.bounds"),
     ],
 )
 def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -150,6 +151,28 @@ def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, over
     result = run_cli("tune", "--config", str(config), "--out", str(out))
     assert result.exit_code == 1, result.output
     assert field in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_tune_knn_csv_with_non_finite_feature_exit_1_before_any_evaluation(tmp_path: Path, cell):
+    data = tmp_path / "data.csv"
+    rows = [f"{i % 7},{(i * 3) % 5},{'ab'[i % 2]}" for i in range(40)]
+    rows[17] = f"1,{cell},a"
+    data.write_text("f0,f1,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    config = write_config(
+        tmp_path / "cfg.json",
+        space=[
+            {"name": "k", "type": "integer", "bounds": [1, 5]},
+            {"name": "weight", "type": "categorical", "levels": ["uniform", "inverse"]},
+            {"name": "power", "type": "continuous", "bounds": [0.5, 4.0]},
+        ],
+        objective={"knn": {"dataset": {"csv": str(data), "label": "y"}}},
+    )
+    out = tmp_path / "o"
+    result = run_cli("tune", "--config", str(config), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert "row 18" in result.output
     assert not out.exists()
 
 

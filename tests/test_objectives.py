@@ -8,11 +8,13 @@ import os
 import signal
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import scalar_knn_error_rate
 from tunekit.objectives import (
     BRANIN_MINIMUM,
     BRANIN_SPACE,
@@ -31,6 +33,7 @@ from tunekit.objectives import (
     make_blobs,
     partition,
 )
+from tunekit.objectives.knn import minkowski_distances
 from tunekit.space import ContinuousVariable, IntegerVariable, Point, SearchSpace
 from tunekit.trials import EvaluationFailed
 
@@ -198,6 +201,62 @@ def test_error_rate_bounds_and_validation():
         knn_error_rate(train, validation, k=1, power=0.0)
 
 
+def _grid_dataset(rng, rows: int, features: int, labels: list[str]) -> Dataset:
+    """Rows on the integer grid {0, 1, 2}^features: duplicate rows, equal
+    distances and tied votes abound."""
+    x = rng.integers(0, 3, (rows, features)).astype(float)
+    y = [labels[i] for i in rng.integers(0, len(labels), rows)]
+    return Dataset(x, y, [f"f{j}" for j in range(features)])
+
+
+@pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("weight", ["uniform", "inverse"])
+def test_error_rate_equals_scalar_oracle_on_tie_heavy_data(weight, power):
+    rng = np.random.default_rng(23)
+    train = _grid_dataset(rng, 30, 2, ["a", "b", "c"])
+    validation = _grid_dataset(rng, 20, 2, ["a", "b", "c", "z"])  # "z": no training row has it
+    assert len({tuple(row) for row in train.features}) < len(train)
+    assert "z" in validation.labels
+    for k in (1, 2, 3, 4, len(train)):
+        expected = scalar_knn_error_rate(train, validation, k, weight, power)
+        assert knn_error_rate(train, validation, k=k, weight=weight, power=power) == expected
+
+
+@pytest.mark.parametrize("features", [1, 6, 9, 17, 130])
+def test_error_rate_equals_scalar_oracle_on_continuous_data(features):
+    rng = np.random.default_rng(features)
+    train = Dataset(rng.standard_normal((40, features)), list(rng.choice(["a", "b"], 40)), [""] * features)
+    validation = Dataset(rng.standard_normal((25, features)), list(rng.choice(["a", "b"], 25)), [""] * features)
+    for k, weight, power in [(1, "uniform", 2.0), (2, "inverse", 0.5), (7, "inverse", 3.7), (40, "uniform", 1.0)]:
+        expected = scalar_knn_error_rate(train, validation, k, weight, power)
+        assert knn_error_rate(train, validation, k=k, weight=weight, power=power) == expected
+
+
+@pytest.mark.parametrize("features", [0, 1, 7, 8, 9, 16, 17, 128, 129, 136, 300])
+def test_minkowski_distances_equal_the_summed_tensor(features):
+    rng = np.random.default_rng(features)
+    a = rng.standard_normal((9, features)) * 10.0 ** rng.integers(-4, 4, (9, features))
+    b = rng.standard_normal((11, features))
+    for power in (0.5, 1.0, 1.37, 2.0, 3.3):
+        expected = np.sum(np.abs(a[:, None, :] - b[None, :, :]) ** power, axis=2) ** (1.0 / power)
+        assert np.array_equal(minkowski_distances(a, b, power), expected)
+
+
+def test_knn_objective_shared_by_threads_matches_serial():
+    dataset = make_blobs(n_rows=400, n_features=4, sigma=1.0, separation=1.5, seed=5)
+    objective = KnnObjective(default_knn_space(train_rows=280), dataset, PartitionSpec(seed=5))
+    points = [Point([k, w, p]) for k in (1, 4, 17, 31) for w in ("uniform", "inverse") for p in (0.7, 2.0, 3.1)]
+    serial = [objective(p) for p in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = [pool.map(objective, points, timeout=60) for _ in range(4)]
+            assert all(list(values) == serial for values in concurrent)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_knn_objective_point_mapping():
     from tunekit.objectives import default_knn_space
 
@@ -258,6 +317,15 @@ def test_load_csv_empty_and_ragged(tmp_path: Path):
     ragged.write_text("a,b,y\n1,2\n", encoding="utf-8")
     with pytest.raises(DatasetError):
         load_csv(ragged, "y")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_feature(tmp_path: Path, cell):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(f"a,b,y\n1,2,pos\n3,{cell},neg\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_csv(csv_path, "y")
+    assert "row 2" in str(err.value)
 
 
 # -- external protocol -----------------------------------------------------------------------

@@ -3,12 +3,10 @@ cost-model fitting."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+from helpers import run_python
 from tunekit.schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
 
 WORKED = CostModel(t_serial=64.0, c_comm=1.0, t_fixed=1.0)
@@ -154,5 +152,4 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # only fit_cost_model needs scipy.optimize; loading it costs every command
     # a fifth of a second
     code = "import sys, tunekit.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"

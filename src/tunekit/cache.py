@@ -1,21 +1,19 @@
 """Point identity: the key under which evaluations are deduplicated.
 
 Two points are the same point iff their encoded coordinates agree after
-rounding to 12 decimal digits, so `config.build_space` rejects an integer
-range whose neighbouring values would share a key. The manager encodes and
-keys each asked point once and stores the key and the encoded row on its
-record; solvers read `TrialRecord.key` and `TrialRecord.encoded` instead of
-computing them again, and key the points they build by their encoded rows
-(decode_keyed, `sampling.lhs_encoded`).
+rounding to `space.KEY_DIGITS` (12) decimal digits, so `IntegerVariable`
+rejects a range whose neighbouring values would share a key. The manager
+encodes and keys each asked point once and stores the key and the encoded
+row on its record; solvers read `TrialRecord.key` and `TrialRecord.encoded`
+instead of computing them again, and key the points they build by their
+encoded rows (decode_keyed, `sampling.lhs_encoded`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .space import Point, SearchSpace, decode_rows, encode
-
-KEY_DIGITS = 12
+from .space import KEY_DIGITS, Point, SearchSpace, decode_rows, encode
 
 CacheKey = tuple[float, ...]
 

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import KEY_DIGITS
 from .manager import check_param
 from .solvers import SOLVERS, make_solver
 from .space import CategoricalVariable, ContinuousVariable, IntegerVariable, SearchSpace
@@ -73,11 +72,6 @@ def build_space(entries: list[dict]) -> SearchSpace:
             if kind == "continuous":
                 variables.append(ContinuousVariable(name, float(lo), float(hi)))
             elif kind == "integer":
-                if max(abs(lo), abs(hi)) > 2**53 or hi - lo > 10**KEY_DIGITS:
-                    raise ConfigError(
-                        f"{name}.bounds too large: point keys tell integers apart only within"
-                        f" 2**53 of 0 and over at most 10**{KEY_DIGITS} steps"
-                    )
                 variables.append(IntegerVariable(name, lo, hi))
             elif kind == "categorical":
                 levels = entry["levels"]

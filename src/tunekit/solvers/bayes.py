@@ -84,7 +84,10 @@ class GPModel:
         length_scale: float,
         signal_var: float,
         noise_var: float,
+        train_sqdist: np.ndarray | None = None,
     ):
+        """train_sqdist, if given, is mixed_sqdist_matrix(space, train_x,
+        train_x); the fit overwrites it with the kernel matrix."""
         import scipy.linalg  # deferred: costs a fifth of a second on every import of tunekit
 
         self.space = space
@@ -95,25 +98,40 @@ class GPModel:
         self.noise_var = noise_var
         centered = train_y - self.prior_mean
 
-        k_train = self._kernel(train_x, train_x)
+        if train_sqdist is None:
+            train_sqdist = mixed_sqdist_matrix(space, train_x, train_x)
+        k_train = self._kernel_of(train_sqdist)
         jitter = noise_var
         ceiling = JITTER_CEILING_FACTOR * signal_var
         while True:
             try:
-                self._factor = scipy.linalg.cho_factor(
-                    k_train + jitter * np.eye(len(train_x)), lower=True
-                )
+                self._chol, _ = scipy.linalg.cho_factor(k_train + jitter * np.eye(len(train_x)), lower=True)
                 break
             except np.linalg.LinAlgError:
                 jitter *= 10
                 if jitter > ceiling:
                     raise GPFitError("kernel matrix factorization failed") from None
         self.jitter = jitter
-        self._alpha = scipy.linalg.cho_solve(self._factor, centered)
+        # the routine cho_solve would look up on every call
+        (self._potrs,) = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (self._chol,))
+        self._alpha = self._solve(centered)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """(K + jitter I)^-1 b through the Cholesky factor of the fit."""
+        x, info = self._potrs(self._chol, b, lower=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
+    def _kernel_of(self, sq: np.ndarray) -> np.ndarray:
+        """The kernel of squared distances, computed in place in sq."""
+        sq /= -(2.0 * self.length_scale**2)
+        np.exp(sq, out=sq)
+        sq *= self.signal_var
+        return sq
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = mixed_sqdist_matrix(self.space, a, b)
-        return self.signal_var * np.exp(-sq / (2.0 * self.length_scale**2))
+        return self._kernel_of(mixed_sqdist_matrix(self.space, a, b))
 
     def posterior_many(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mean, variance) arrays for encoded query rows; variance clamped >= 0.
@@ -122,12 +140,15 @@ class GPModel:
         batched call scores a point exactly as a one-row call would. The mean
         therefore takes one dot product per row: a matrix-vector product
         `k_star @ alpha` changes its summation order, and so its last bits,
-        with the number of rows."""
-        import scipy.linalg
-
+        with the number of rows. The variance solves for every row in one
+        call of LAPACK's potrs, looked up once at the fit: the routine that
+        scipy.linalg.cho_solve calls, without its per-call lookup and its
+        finiteness scan of the whole factor. Its two triangular solves treat
+        each right-hand side as they would alone, so a row's bits do not
+        depend on the other rows (tests/test_bayes.py checks both)."""
         k_star = self._kernel(query, self.train_x)
         mean = self.prior_mean + (k_star[:, None, :] @ self._alpha[:, None])[:, 0, 0]
-        solved = scipy.linalg.cho_solve(self._factor, k_star.T)
+        solved = self._solve(k_star.T)
         var = self.signal_var - np.einsum("ij,ji->i", k_star, solved)
         return mean, np.maximum(var, 0.0)
 
@@ -154,7 +175,7 @@ def fit_gp(space: SearchSpace, records: Sequence[TrialRecord], cap: int = 300) -
     signal_var = float(np.var(train_y, ddof=1))
     if signal_var == 0.0:
         signal_var = 1.0
-    return GPModel(space, train_x, train_y, length_scale, signal_var, NOISE_FACTOR * signal_var)
+    return GPModel(space, train_x, train_y, length_scale, signal_var, NOISE_FACTOR * signal_var, sq)
 
 
 class BelieverVariance:
@@ -178,10 +199,8 @@ class BelieverVariance:
 
     def add(self, b: int) -> None:
         """Condition on a fantasy observation at rows[b]."""
-        import scipy.linalg
-
         model = self._model
-        w = scipy.linalg.cho_solve(model._factor, self._k_rows[b])
+        w = model._solve(self._k_rows[b])
         cov = model._kernel(self._rows, self._rows[b : b + 1])[:, 0] - self._k_rows @ w
         for u in self._u:
             cov -= u * u[b]

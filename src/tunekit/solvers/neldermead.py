@@ -35,26 +35,30 @@ DEGENERATE_VOLUME = 1e-12
 REINIT_EDGE = 0.05
 
 
-def _axis_simplex(x0: np.ndarray, edge: float) -> list[np.ndarray]:
-    """x0 plus one offset vertex per axis, stepping away from the nearer wall."""
-    vertices = [x0.copy()]
-    for i in range(len(x0)):
-        v = x0.copy()
-        step = edge if x0[i] + edge <= 1.0 else -edge
-        v[i] = min(max(v[i] + step, 0.0), 1.0)
-        vertices.append(v)
+def _axis_simplex(x0: np.ndarray, edge: float) -> np.ndarray:
+    """x0 plus one offset vertex per axis, stepping away from the nearer wall,
+    as a (d + 1, d) array."""
+    d = len(x0)
+    vertices = np.repeat(x0[None, :], d + 1, axis=0)
+    step = np.where(x0 + edge <= 1.0, edge, -edge)
+    vertices[np.arange(1, d + 1), np.arange(d)] = _clip(x0 + step)
     return vertices
 
 
-def _is_degenerate(vertices: list[np.ndarray]) -> bool:
+def _clip(x: np.ndarray) -> np.ndarray:
+    """x clipped to [0, 1]; np.clip's result at a fraction of its call cost."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _is_degenerate(vertices: np.ndarray) -> bool:
     """Shape degeneracy: volume vanishing relative to the simplex's own scale.
 
     A uniformly shrunk simplex is converging, not degenerate, so the volume is
     normalized by the longest edge length before comparing to the threshold."""
     if len(vertices) < 2:
         return True
-    basis = np.asarray(vertices[1:]) - vertices[0]
-    scale = float(np.max(np.abs(basis)))
+    basis = vertices[1:] - vertices[0]
+    scale = float(np.abs(basis).max())
     if scale == 0.0:
         return True
     m = len(basis)
@@ -63,6 +67,11 @@ def _is_degenerate(vertices: list[np.ndarray]) -> bool:
 
 
 class SimplexSearch:
+    """The vertices are one (d + 1, d) array, kept sorted by value (best
+    first) with their values in a list of the same order. pending() is a
+    (k, d) array, one row per point whose value is needed next, and advance()
+    takes their k values in row order."""
+
     def __init__(
         self,
         x0: np.ndarray | None = None,
@@ -70,7 +79,7 @@ class SimplexSearch:
         vertices: Sequence[np.ndarray] | None = None,
     ):
         if vertices is not None:
-            self._init_vertices = [np.asarray(v, dtype=float) for v in vertices]
+            self._init_vertices = np.array([np.asarray(v, dtype=float) for v in vertices])
         else:
             if x0 is None:
                 raise ValueError("need x0 or explicit vertices")
@@ -78,22 +87,23 @@ class SimplexSearch:
         self.iterations = 0
         self.best_x: np.ndarray | None = None
         self.best_f = math.inf
-        self._verts: list[np.ndarray] = []
+        self._verts = self._init_vertices
         self._fs: list[float] = []
         self._gen = self._main()
-        self._pending: list[np.ndarray] = next(self._gen)
+        self._pending: np.ndarray = next(self._gen)
 
-    def pending(self) -> list[np.ndarray]:
-        return [p.copy() for p in self._pending]
+    def pending(self) -> np.ndarray:
+        return self._pending.copy()
 
     def advance(self, values: Sequence[float]) -> None:
         if len(values) != len(self._pending):
             raise ValueError(f"expected {len(self._pending)} values, got {len(values)}")
+        values = [float(f) for f in values]
         for x, f in zip(self._pending, values):
             if f < self.best_f:
-                self.best_f = float(f)
+                self.best_f = f
                 self.best_x = x.copy()
-        self._pending = self._gen.send([float(f) for f in values])
+        self._pending = self._gen.send(values)
 
     def value_spread(self) -> float:
         if not self._fs:
@@ -103,61 +113,58 @@ class SimplexSearch:
     # -- internals ---------------------------------------------------------
 
     def _collides(self, x: np.ndarray) -> bool:
-        return bool(np.any(np.max(np.abs(np.asarray(self._verts) - x), axis=1) < 1e-15))
+        return bool((np.abs(self._verts - x).max(axis=1) < 1e-15).any())
 
     def _sort(self) -> None:
-        order = sorted(range(len(self._fs)), key=lambda i: self._fs[i])
-        self._verts = [self._verts[i] for i in order]
+        order = sorted(range(len(self._fs)), key=self._fs.__getitem__)
+        self._verts = self._verts[order]
         self._fs = [self._fs[i] for i in order]
 
     def _main(self):
-        self._verts = [v.copy() for v in self._init_vertices]
+        self._verts = self._init_vertices.copy()
         self._fs = list((yield self._verts))
         while True:
             self._sort()
             if _is_degenerate(self._verts):
-                best = self._verts[0]
-                rebuilt = _axis_simplex(best, REINIT_EDGE)
-                self._verts = [best.copy()] + rebuilt[1:]
-                new_fs = yield rebuilt[1:]
+                self._verts = _axis_simplex(self._verts[0], REINIT_EDGE)
+                new_fs = yield self._verts[1:]
                 self._fs = [self._fs[0]] + list(new_fs)
                 self._sort()
             self.iterations += 1
-            worst = self._verts[-1]
-            f_worst = self._fs[-1]
-            centroid = np.mean(self._verts[:-1], axis=0)
+            verts, fs = self._verts, self._fs
+            worst = verts[-1]
+            f_worst = fs[-1]
+            centroid = np.add.reduce(verts[:-1], axis=0) / (len(verts) - 1)  # np.mean's sum and divide
 
-            xr = np.clip(centroid + REFLECT * (centroid - worst), 0.0, 1.0)
-            fr = math.inf if self._collides(xr) else (yield [xr])[0]
+            xr = _clip(centroid + REFLECT * (centroid - worst))
+            fr = math.inf if self._collides(xr) else (yield xr[None, :])[0]
 
-            if fr < self._fs[0]:
-                xe = np.clip(centroid + EXPAND * (centroid - worst), 0.0, 1.0)
-                fe = math.inf if self._collides(xe) else (yield [xe])[0]
+            if fr < fs[0]:
+                xe = _clip(centroid + EXPAND * (centroid - worst))
+                fe = math.inf if self._collides(xe) else (yield xe[None, :])[0]
                 if fe < fr:
-                    self._verts[-1], self._fs[-1] = xe, fe
+                    verts[-1], fs[-1] = xe, fe
                 else:
-                    self._verts[-1], self._fs[-1] = xr, fr
-            elif fr < self._fs[-2]:
-                self._verts[-1], self._fs[-1] = xr, fr
+                    verts[-1], fs[-1] = xr, fr
+            elif fr < fs[-2]:
+                verts[-1], fs[-1] = xr, fr
             else:
                 if fr < f_worst:  # outside contraction
-                    xc = np.clip(centroid + CONTRACT * (xr - centroid), 0.0, 1.0)
-                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
+                    xc = _clip(centroid + CONTRACT * (xr - centroid))
+                    fc = math.inf if self._collides(xc) else (yield xc[None, :])[0]
                     accepted = fc <= fr
                 else:  # inside contraction
-                    xc = np.clip(centroid - CONTRACT * (centroid - worst), 0.0, 1.0)
-                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
+                    xc = _clip(centroid - CONTRACT * (centroid - worst))
+                    fc = math.inf if self._collides(xc) else (yield xc[None, :])[0]
                     accepted = fc < f_worst
                 if accepted:
-                    self._verts[-1], self._fs[-1] = xc, fc
+                    verts[-1], fs[-1] = xc, fc
                 else:  # shrink toward the best vertex
-                    best = self._verts[0]
-                    shrunk = [
-                        np.clip(best + SHRINK * (v - best), 0.0, 1.0) for v in self._verts[1:]
-                    ]
+                    best = verts[0]
+                    shrunk = _clip(best + SHRINK * (verts[1:] - best))
                     new_fs = yield shrunk
-                    self._verts = [best] + shrunk
-                    self._fs = [self._fs[0]] + list(new_fs)
+                    verts[1:] = shrunk
+                    self._fs = [fs[0]] + list(new_fs)
 
 
 def nm_minimize_many(

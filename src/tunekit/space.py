@@ -21,6 +21,8 @@ import numpy as np
 
 Value = Union[float, int, str]
 
+KEY_DIGITS = 12  # decimal digits an encoded coordinate keeps in a point key (see cache.py)
+
 
 class ArityMismatchError(ValueError):
     """Point value count does not match the space's variable count."""
@@ -50,6 +52,11 @@ class IntegerVariable:
     def __post_init__(self) -> None:
         if not self.lo <= self.hi:
             raise ValueError(f"integer variable {self.name!r}: need lo <= hi, got [{self.lo}, {self.hi}]")
+        if max(abs(self.lo), abs(self.hi)) > 2**53 or self.hi - self.lo > 10**KEY_DIGITS:
+            raise ValueError(
+                f"{self.name}.bounds too large: point keys tell integers apart only within"
+                f" 2**53 of 0 and over at most 10**{KEY_DIGITS} steps"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,13 @@ class SearchSpace:
             raise ValueError(f"variable names must be unique, got {names}")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_codec", _Codec(variables))
+        # channel index lists, read on every distance and posterior call
+        categorical = tuple(i for i, v in enumerate(variables) if isinstance(v, CategoricalVariable))
+        object.__setattr__(self, "_categorical", categorical)
+        object.__setattr__(self, "_numeric", tuple(i for i in range(len(variables)) if i not in categorical))
+        object.__setattr__(
+            self, "_continuous", tuple(i for i, v in enumerate(variables) if isinstance(v, ContinuousVariable))
+        )
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -133,15 +147,15 @@ class SearchSpace:
     @property
     def numeric_indices(self) -> list[int]:
         """Channels that live on the [0, 1] scale (continuous and integer)."""
-        return [i for i, v in enumerate(self.variables) if not isinstance(v, CategoricalVariable)]
+        return list(self._numeric)
 
     @property
     def continuous_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if isinstance(v, ContinuousVariable)]
+        return list(self._continuous)
 
     @property
     def categorical_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if isinstance(v, CategoricalVariable)]
+        return list(self._categorical)
 
     def to_dict(self, p: Point) -> dict[str, Value]:
         if len(p.values) != len(self.variables):
@@ -257,12 +271,15 @@ def snap_encoded(space: SearchSpace, rows: np.ndarray) -> np.ndarray:
 def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared mixed distance between encoded rows of a and b:
     squared Euclidean on numeric channels plus a 0/1 mismatch per categorical
-    channel."""
+    channel. The channels are added one (m, n) plane at a time, in channel
+    order."""
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in space.numeric_indices:
-        out += (a[:, i, None] - b[None, :, i]) ** 2
+        diff = np.subtract.outer(a[:, i], b[:, i])
+        diff *= diff
+        out += diff
     for i in space.categorical_indices:
-        out += (a[:, i, None] != b[None, :, i]).astype(float)
+        out += np.not_equal.outer(a[:, i], b[:, i])
     return out
 
 

@@ -16,7 +16,7 @@ from tunekit.manager import Solver
 from tunekit.objectives import Dataset
 from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import CANDIDATE_COUNT, REFINE_MAX_ITERS, GPModel
-from tunekit.solvers.neldermead import SimplexSearch
+from tunekit.solvers.neldermead import CONTRACT, DEGENERATE_VOLUME, EXPAND, REFLECT, REINIT_EDGE, SHRINK
 from tunekit.space import Point, SearchSpace, decode, encode
 from tunekit.trials import TrialRecord
 
@@ -35,15 +35,23 @@ def strip_wall_time(history_csv: str) -> str:
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in history_csv.splitlines())
 
 
+def encoded_sqdistance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> float:
+    """Plain-Python squared mixed metric on encoded vectors, summed in channel
+    order: d * d over the numeric channels, then a 0/1 mismatch per
+    categorical channel."""
+    total = 0.0
+    for i in space.numeric_indices:
+        d = float(ea[i]) - float(eb[i])
+        total += d * d
+    for i in space.categorical_indices:
+        total += 0.0 if ea[i] == eb[i] else 1.0
+    return total
+
+
 def encoded_distance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> float:
     """Plain scalar mixed metric on encoded vectors: Euclidean on numeric
     channels plus a 0/1 mismatch per categorical channel."""
-    total = 0.0
-    for i in space.numeric_indices:
-        total += (ea[i] - eb[i]) ** 2
-    for i in space.categorical_indices:
-        total += 0.0 if ea[i] == eb[i] else 1.0
-    return math.sqrt(total)
+    return math.sqrt(encoded_sqdistance(space, ea, eb))
 
 
 def scalar_knn_error_rate(train: Dataset, validation: Dataset, k: int, weight: str, power: float) -> float:
@@ -85,10 +93,130 @@ def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray
     return float(mu), max(float(var), 0.0)
 
 
+def _list_axis_simplex(x0: np.ndarray, edge: float) -> list[np.ndarray]:
+    vertices = [x0.copy()]
+    for i in range(len(x0)):
+        v = x0.copy()
+        step = edge if x0[i] + edge <= 1.0 else -edge
+        v[i] = min(max(v[i] + step, 0.0), 1.0)
+        vertices.append(v)
+    return vertices
+
+
+def _list_is_degenerate(vertices: list[np.ndarray]) -> bool:
+    if len(vertices) < 2:
+        return True
+    basis = np.asarray(vertices[1:]) - vertices[0]
+    scale = float(np.max(np.abs(basis)))
+    if scale == 0.0:
+        return True
+    m = len(basis)
+    volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
+    return volume / scale**m < DEGENERATE_VOLUME
+
+
+class ListSimplexSearch:
+    """The simplex state machine of tunekit.solvers.neldermead as it was with
+    its vertices kept as a list of arrays, one vertex per array, and each
+    step building its arrays from that list. It also records in `events`
+    each degenerate re-initialisation, shrink and collision of a clipped
+    candidate with a vertex."""
+
+    def __init__(self, x0=None, edge: float = 0.1, vertices=None):
+        if vertices is not None:
+            self._init_vertices = [np.asarray(v, dtype=float) for v in vertices]
+        else:
+            self._init_vertices = _list_axis_simplex(np.asarray(x0, dtype=float), edge)
+        self.iterations = 0
+        self.best_x: np.ndarray | None = None
+        self.best_f = math.inf
+        self.events: list[str] = []
+        self._verts: list[np.ndarray] = []
+        self._fs: list[float] = []
+        self._gen = self._main()
+        self._pending: list[np.ndarray] = next(self._gen)
+
+    def pending(self) -> list[np.ndarray]:
+        return [p.copy() for p in self._pending]
+
+    def advance(self, values) -> None:
+        for x, f in zip(self._pending, values):
+            if f < self.best_f:
+                self.best_f = float(f)
+                self.best_x = x.copy()
+        self._pending = self._gen.send([float(f) for f in values])
+
+    def value_spread(self) -> float:
+        if not self._fs:
+            return math.inf
+        return max(self._fs) - min(self._fs)
+
+    def _collides(self, x: np.ndarray) -> bool:
+        hit = bool(np.any(np.max(np.abs(np.asarray(self._verts) - x), axis=1) < 1e-15))
+        if hit:
+            self.events.append("collision")
+        return hit
+
+    def _sort(self) -> None:
+        order = sorted(range(len(self._fs)), key=lambda i: self._fs[i])
+        self._verts = [self._verts[i] for i in order]
+        self._fs = [self._fs[i] for i in order]
+
+    def _main(self):
+        self._verts = [v.copy() for v in self._init_vertices]
+        self._fs = list((yield self._verts))
+        while True:
+            self._sort()
+            if _list_is_degenerate(self._verts):
+                self.events.append("reinit")
+                best = self._verts[0]
+                rebuilt = _list_axis_simplex(best, REINIT_EDGE)
+                self._verts = [best.copy()] + rebuilt[1:]
+                new_fs = yield rebuilt[1:]
+                self._fs = [self._fs[0]] + list(new_fs)
+                self._sort()
+            self.iterations += 1
+            worst = self._verts[-1]
+            f_worst = self._fs[-1]
+            centroid = np.mean(self._verts[:-1], axis=0)
+
+            xr = np.clip(centroid + REFLECT * (centroid - worst), 0.0, 1.0)
+            fr = math.inf if self._collides(xr) else (yield [xr])[0]
+
+            if fr < self._fs[0]:
+                xe = np.clip(centroid + EXPAND * (centroid - worst), 0.0, 1.0)
+                fe = math.inf if self._collides(xe) else (yield [xe])[0]
+                if fe < fr:
+                    self._verts[-1], self._fs[-1] = xe, fe
+                else:
+                    self._verts[-1], self._fs[-1] = xr, fr
+            elif fr < self._fs[-2]:
+                self._verts[-1], self._fs[-1] = xr, fr
+            else:
+                if fr < f_worst:
+                    xc = np.clip(centroid + CONTRACT * (xr - centroid), 0.0, 1.0)
+                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
+                    accepted = fc <= fr
+                else:
+                    xc = np.clip(centroid - CONTRACT * (centroid - worst), 0.0, 1.0)
+                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
+                    accepted = fc < f_worst
+                if accepted:
+                    self._verts[-1], self._fs[-1] = xc, fc
+                else:
+                    self.events.append("shrink")
+                    best = self._verts[0]
+                    shrunk = [np.clip(best + SHRINK * (v - best), 0.0, 1.0) for v in self._verts[1:]]
+                    new_fs = yield shrunk
+                    self._verts = [best] + shrunk
+                    self._fs = [self._fs[0]] + list(new_fs)
+
+
 def reference_nm_minimize(fn, x0: np.ndarray, edge: float, max_iters: int):
-    """One simplex driven alone, one fn call per point, until max_iters or a
-    zero value spread; returns (best_x, best_f, iterations, steps)."""
-    search = SimplexSearch(np.asarray(x0, dtype=float), edge=edge)
+    """One ListSimplexSearch driven alone, one fn call per point, until
+    max_iters or a zero value spread; returns (best_x, best_f, iterations,
+    steps)."""
+    search = ListSimplexSearch(np.asarray(x0, dtype=float), edge=edge)
     steps = 0
     while search.iterations < max_iters:
         search.advance([fn(x) for x in search.pending()])

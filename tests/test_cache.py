@@ -110,8 +110,8 @@ def test_concurrent_mixed_keys():
 
 
 def test_neighbouring_integers_at_the_range_limit_get_distinct_keys():
-    from tunekit.cache import KEY_DIGITS
     from tunekit.config import ConfigError, build_space
+    from tunekit.space import KEY_DIGITS
 
     width = 10**KEY_DIGITS
     for lo in (0, -(width // 2), 2**53 - width):
@@ -121,3 +121,5 @@ def test_neighbouring_integers_at_the_range_limit_get_distinct_keys():
     for bounds in ([0, width + 1], [0, 2**60], [2**60, 2**60 + 10], [-(2**53) - 1, 0]):
         with pytest.raises(ConfigError, match="k.bounds too large"):
             build_space([{"name": "k", "type": "integer", "bounds": bounds}])
+        with pytest.raises(ValueError, match="k.bounds too large"):
+            IntegerVariable("k", *bounds)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import reference_nm_minimize
+from helpers import ListSimplexSearch, reference_nm_minimize
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.solvers.direct import (
@@ -266,6 +266,42 @@ def test_degenerate_simplex_reinitializes():
     search.advance([1.0, 1.0, 2.0])
     rebuild = search.pending()
     assert len(rebuild) == 2  # fresh offset vertices around the best
+
+
+def _linear(x: np.ndarray) -> float:
+    return float(x[0] - 2 * x[1])
+
+
+def _sphere(x: np.ndarray) -> float:
+    return float(np.sum((x - 0.3) ** 2))
+
+
+def _rugged(x: np.ndarray) -> float:
+    return float(np.sum(np.sin(23 * x + 1.3)))
+
+
+@pytest.mark.parametrize(
+    "fn, start, steps, events",
+    [
+        # the minimum is the corner (0, 1): reflections clip onto a wall vertex
+        (_linear, {"x0": np.array([0.05, 0.95]), "edge": 0.1}, 60, {"collision", "reinit"}),
+        (_sphere, {"x0": np.array([0.5, 0.5]), "edge": 0.1}, 200, {"collision", "shrink"}),
+        (_sphere, {"vertices": [[0.5, 0.5], [0.5, 0.5], [0.6, 0.5]]}, 50, {"reinit"}),
+        (_rugged, {"x0": np.array([0.5, 0.5, 0.5]), "edge": 0.3}, 200, {"shrink"}),
+    ],
+    ids=["wall-collision", "shrink", "degenerate", "rugged-3d"],
+)
+def test_simplex_steps_match_the_list_based_oracle(fn, start, steps, events):
+    search, reference = SimplexSearch(**start), ListSimplexSearch(**start)
+    for _ in range(steps):
+        assert np.array_equal(search.pending(), reference.pending())
+        values = [fn(x) for x in reference.pending()]
+        search.advance(values)
+        reference.advance(values)
+        assert np.array_equal(search.best_x, reference.best_x)
+        assert (search.best_f, search.iterations) == (reference.best_f, reference.iterations)
+        assert search.value_spread() == reference.value_spread()
+    assert events <= set(reference.events)
 
 
 # -- solvers through the manager -----------------------------------------------------------

@@ -8,6 +8,9 @@ is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
   to the manager.
 - bayes-direct: b7d3082, where Bayes began choosing each batch with the
   Kriging believer.
+- bayes-mixed: 9a2f055, before the GP solves, the mixed distance and the
+  simplex vertices moved to held arrays; Bayes and Nelder-Mead on 6
+  continuous, 2 integer and 1 categorical channel.
 
 Regenerate one, only for an intended change of behaviour, with
 

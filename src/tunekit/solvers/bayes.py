@@ -143,9 +143,10 @@ class GPModel:
         with the number of rows. The variance solves for every row in one
         call of LAPACK's potrs, looked up once at the fit: the routine that
         scipy.linalg.cho_solve calls, without its per-call lookup and its
-        finiteness scan of the whole factor. Its two triangular solves treat
-        each right-hand side as they would alone, so a row's bits do not
-        depend on the other rows (tests/test_bayes.py checks both)."""
+        finiteness scan of the whole factor. Its triangular solves give each
+        right-hand side the bits it gets alone, so a row's variance does not
+        depend on the other rows (test_batched_posterior_rows_equal_one_row_calls
+        checks both the mean and the variance)."""
         k_star = self._kernel(query, self.train_x)
         mean = self.prior_mean + (k_star[:, None, :] @ self._alpha[:, None])[:, 0, 0]
         solved = self._solve(k_star.T)

@@ -87,7 +87,7 @@ class SimplexSearch:
         self.iterations = 0
         self.best_x: np.ndarray | None = None
         self.best_f = math.inf
-        self._verts = self._init_vertices
+        self._verts = np.empty((0, 0))
         self._fs: list[float] = []
         self._gen = self._main()
         self._pending: np.ndarray = next(self._gen)

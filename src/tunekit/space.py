@@ -271,8 +271,8 @@ def snap_encoded(space: SearchSpace, rows: np.ndarray) -> np.ndarray:
 def mixed_sqdist_matrix(space: SearchSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared mixed distance between encoded rows of a and b:
     squared Euclidean on numeric channels plus a 0/1 mismatch per categorical
-    channel. The channels are added one (m, n) plane at a time, in channel
-    order."""
+    channel. The channels are added one (m, n) plane at a time: the numeric
+    ones in index order, then the categorical ones."""
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in space.numeric_indices:
         diff = np.subtract.outer(a[:, i], b[:, i])

@@ -3,6 +3,7 @@ validation partition, CSV ingestion, and the external-process adapter."""
 
 from __future__ import annotations
 
+from ..manager import check_param
 from ..space import SearchSpace
 from .data import Dataset, DatasetError, Partition, PartitionSpec, load_csv, make_blobs, partition
 from .external import ExternalObjective
@@ -13,6 +14,7 @@ from .functions import (
     BuiltinObjective,
     SpaceMismatchError,
     branin,
+    check_keys,
     mixed_synthetic,
     rastrigin,
     rosenbrock,
@@ -58,13 +60,17 @@ def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
         raise ValueError(f"objective spec must have exactly one kind, got {spec!r}")
     kind, body = next(iter(spec.items()))
     if kind == "builtin":
-        return BuiltinObjective(body["name"], space, body.get("params"), seed)
+        body = check_keys("objective.builtin", body, ("name", "params"))
+        return BuiltinObjective(body.get("name"), space, body.get("params"), seed)
     if kind == "knn":
-        dataset_ref = body["dataset"]
+        body = check_keys("objective.knn", body, ("dataset", "validation_fraction", "partition_seed", "stratified"))
+        dataset_ref = check_keys("knn.dataset", body.get("dataset"), ("csv", "label", "blobs"))
         if "csv" in dataset_ref:
             dataset = load_csv(dataset_ref["csv"], dataset_ref["label"])
         elif "blobs" in dataset_ref:
-            blob_args = dict(dataset_ref["blobs"])
+            blob_args = check_keys(
+                "knn.dataset.blobs", dataset_ref["blobs"], ("n_rows", "n_features", "sigma", "separation", "seed")
+            )
             blob_args.setdefault("seed", seed)
             dataset = make_blobs(**blob_args)
         else:
@@ -76,5 +82,11 @@ def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
         )
         return KnnObjective(space, dataset, part_spec)
     if kind == "external":
-        return ExternalObjective(space, body["command"], int(body.get("timeout_ms", 10_000)))
+        body = check_keys("objective.external", body, ("command", "timeout_ms"))
+        command, timeout_ms = body.get("command"), body.get("timeout_ms", 10_000)
+        words = command.split() if isinstance(command, str) else command
+        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words) and words[0]):
+            raise ValueError(f"external.command must be a nonempty string or list of strings, got {command!r}")
+        check_param("external.timeout_ms", timeout_ms, integer=True, minimum=0, strict=True)
+        return ExternalObjective(space, command, timeout_ms)
     raise ValueError(f"unknown objective kind {kind!r}")

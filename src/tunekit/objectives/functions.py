@@ -7,12 +7,36 @@ import math
 
 import numpy as np
 
+from ..manager import check_param
 from ..space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from ..trials import EvaluationFailed
 
 
 class SpaceMismatchError(ValueError):
     """Objective cannot be evaluated on the configured search space."""
+
+
+# Builtin name -> the params it takes.
+BUILTIN_PARAMS = {
+    "sphere": (),
+    "rastrigin": (),
+    "rosenbrock": (),
+    "branin": (),
+    "mixed_synthetic": (),
+    "noisy": ("base", "base_params", "sigma"),
+    "cliff": ("base", "base_params", "fail_var", "fail_above"),
+}
+
+
+def check_keys(field: str, value, allowed) -> dict:
+    """A copy of value; raise ValueError naming the field unless it is a JSON
+    object whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ValueError(f"{field} has unknown key {key!r}; it takes {', '.join(allowed) or 'none'}")
+    return dict(value)
 
 
 def _numeric_values(space: SearchSpace, p: Point) -> np.ndarray:
@@ -86,12 +110,15 @@ class BuiltinObjective:
     def __init__(self, name: str, space: SearchSpace, params: dict | None = None, seed: int = 0):
         self.name = name
         self.space = space
-        self.params = dict(params or {})
+        self.params = {} if params is None else params
         self.seed = seed
         self._check_space()
 
     def _check_space(self) -> None:
         name, space = self.name, self.space
+        if not isinstance(name, str) or name not in BUILTIN_PARAMS:
+            raise SpaceMismatchError(f"unknown builtin objective {name!r}")
+        self.params = check_keys(f"{name} params", self.params, BUILTIN_PARAMS[name])
         if name in ("sphere", "rastrigin", "rosenbrock"):
             if space.categorical_indices:
                 raise SpaceMismatchError(f"{name} needs a purely numeric space")
@@ -100,12 +127,8 @@ class BuiltinObjective:
         elif name == "branin":
             if len(space.continuous_indices) != 2 or len(space.variables) != 2:
                 raise SpaceMismatchError("branin needs exactly 2 continuous variables")
-        elif name == "mixed_synthetic":
-            pass
         elif name == "noisy":
-            sigma = self.params.get("sigma", 0.1)
-            if sigma < 0:
-                raise SpaceMismatchError("noisy sigma must be >= 0")
+            check_param("noisy.sigma", self.params.get("sigma", 0.1), integer=False, minimum=0)
             self._base = BuiltinObjective(
                 self.params.get("base", "sphere"), space, self.params.get("base_params"), self.seed
             )
@@ -114,13 +137,16 @@ class BuiltinObjective:
                 self.params.get("base", "sphere"), space, self.params.get("base_params"), self.seed
             )
             fail_var = self.params.get("fail_var", 0)
-            idx = space.index_of(fail_var) if isinstance(fail_var, str) else int(fail_var)
-            if idx in space.categorical_indices:
-                raise SpaceMismatchError("cliff fail region needs a numeric variable")
-            self._fail_idx = idx
+            if isinstance(fail_var, str):
+                if fail_var not in space.names:
+                    raise SpaceMismatchError(f"cliff.fail_var {fail_var!r} names no variable of the space")
+                fail_var = space.index_of(fail_var)
+            check_param("cliff.fail_var", fail_var, integer=True, minimum=0)
+            if fail_var >= len(space.variables) or fail_var in space.categorical_indices:
+                raise SpaceMismatchError(f"cliff.fail_var {fail_var} is not a numeric variable of the space")
+            self._fail_idx = fail_var
+            check_param("cliff.fail_above", self.params.get("fail_above"), integer=False, minimum=-math.inf)
             self._fail_above = float(self.params["fail_above"])
-        else:
-            raise SpaceMismatchError(f"unknown builtin objective {name!r}")
 
     def __call__(self, p: Point, eval_id: int = 0) -> float:
         name = self.name

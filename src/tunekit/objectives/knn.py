@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..space import Point, SearchSpace
+from ..space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from ..trials import EvaluationFailed
 from .data import Dataset, Partition, PartitionSpec, partition
+from .functions import SpaceMismatchError
 
 INVERSE_EPS = 1e-12
 
@@ -135,13 +136,20 @@ class KnnObjective:
     """Tuning objective over variables named k, weight, and power."""
 
     def __init__(self, space: SearchSpace, dataset: Dataset, spec: PartitionSpec | None = None):
+        for name, kind in (("k", IntegerVariable), ("weight", CategoricalVariable), ("power", ContinuousVariable)):
+            if name not in space.names or not isinstance(space.variables[space.index_of(name)], kind):
+                raise SpaceMismatchError(f"knn needs a variable {name!r} of type {kind.__name__}")
+        self._k_idx, self._weight_idx, self._power_idx = map(space.index_of, ("k", "weight", "power"))
+        k_var, weight_var, power_var = (space.variables[i] for i in (self._k_idx, self._weight_idx, self._power_idx))
+        if k_var.lo < 1:
+            raise SpaceMismatchError(f"knn variable 'k' needs a lower bound >= 1, got {k_var.lo}")
+        if not set(weight_var.levels) <= {"uniform", "inverse"}:
+            raise SpaceMismatchError(f"knn variable 'weight' has levels {weight_var.levels}; it takes uniform, inverse")
+        if power_var.lo <= 0:
+            raise SpaceMismatchError(f"knn variable 'power' needs a lower bound > 0, got {power_var.lo}")
         self.space = space
         self.split: Partition = partition(dataset, spec or PartitionSpec())
         self._scorer = _Scorer(self.split.train, self.split.validation)
-        self._k_idx = space.index_of("k")
-        self._weight_idx = space.index_of("weight")
-        self._power_idx = space.index_of("power")
-        k_var = space.variables[self._k_idx]
         if k_var.hi > len(self.split.train):
             raise ValueError(
                 f"k upper bound {k_var.hi} exceeds training rows {len(self.split.train)}"
@@ -156,8 +164,6 @@ class KnnObjective:
 
 
 def default_knn_space(train_rows: int) -> SearchSpace:
-    from ..space import CategoricalVariable, ContinuousVariable, IntegerVariable
-
     return SearchSpace(
         [
             IntegerVariable("k", 1, min(31, train_rows)),

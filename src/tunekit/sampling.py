@@ -29,17 +29,19 @@ class SampleRequest:
 
 
 def random_sample(space: SearchSpace, req: SampleRequest) -> list[Point]:
-    """Draw n points with every coordinate independently uniform."""
+    """Draw n points with every coordinate independently uniform: one value
+    column per variable, drawn in variable order (an integer value, within
+    2**53 of 0, is exact as a float)."""
     rng = np.random.default_rng(req.seed)
-    columns: list[list] = []
-    for var in space.variables:
+    values = np.empty((req.n, len(space.variables)))
+    for j, var in enumerate(space.variables):
         if isinstance(var, ContinuousVariable):
-            columns.append(list(rng.uniform(var.lo, var.hi, req.n)))
+            values[:, j] = rng.uniform(var.lo, var.hi, req.n)
         elif isinstance(var, IntegerVariable):
-            columns.append([int(k) for k in rng.integers(var.lo, var.hi + 1, req.n)])
+            values[:, j] = rng.integers(var.lo, var.hi + 1, req.n)
         else:
-            columns.append([var.levels[i] for i in rng.integers(0, len(var.levels), req.n)])
-    return [Point(col[i] for col in columns) for i in range(req.n)]
+            values[:, j] = rng.integers(0, len(var.levels), req.n)
+    return value_points(space, values)
 
 
 def lhs_design(space: SearchSpace, req: SampleRequest) -> np.ndarray:

@@ -14,32 +14,27 @@ rectangle whose diameter falls below it stops being divided and instead runs
 its own simplex search seeded at the rectangle's center; the rectangle is then
 represented by the best value its refinement has found.
 
-Every point the solver needs is a request: its unit-cube geometry and a
-callback that takes the point's objective value. Requests wait in a queue
-until `ask` serves them, snapping the served geometries to points and keys in
-one decode, and then under their key until `tell` pops the key of a record
-and calls its callbacks in the order they were served; two requests that snap
-to one point share one record. A split requests its two outer centers, and a
-refinement step its pending vertices, as one group: the last value of the
-group to arrive finishes the split (the low, middle and high children are
-created, in that order, and the parent retires) or advances the simplex.
-The root rectangle is created when its center's value arrives.
+Every point the solver needs is a `cache.Requests` request of its unit-cube
+geometry scaled to encoded coordinates. A split requests its two outer
+centers, and a refinement step its pending vertices, as one group, whose last
+value finishes the split (the low, middle and high children are created, in
+that order, and the parent retires) or advances the simplex. The root
+rectangle is created when its center's value arrives.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, decode_keyed
+from ..cache import Requests
 from ..manager import Solver, check_param
 from ..space import CategoricalVariable, Point, SearchSpace
 from ..trials import TrialRecord
-from .neldermead import SimplexSearch
+from .neldermead import SimplexSearch, simplex_rows
 
 ACTIVE = "active"
 REFINING = "refining"
@@ -112,38 +107,23 @@ class Rect:
         return self.best_value if self.state == REFINING else self.f_center
 
 
-OnValue = Callable[[float], None]
-
-
 class DirectSearch(Solver):
     """theta = 0 gives pure DIRECT; positive theta enables hybrid refinement."""
 
     def __init__(self, space: SearchSpace, theta: float = 0.0):
         check_param("theta", theta, integer=False, minimum=0)
-        self._space = space
         self._theta = theta
-        self._dims = len(space.variables)
         self._cont = space.continuous_indices
         # a categorical coordinate of the unit cube spans the level indices 0 .. levels - 1
         self._scale = np.array(
             [len(v.levels) - 1 if isinstance(v, CategoricalVariable) else 1 for v in space.variables]
         )
         self._rects: list[Rect] = []
-        self._queue: list[tuple[Sequence[float], OnValue]] = []
-        self._waiting: dict[CacheKey, list[OnValue]] = {}
+        self._requests = Requests(space)
 
     def _request_all(self, geometries: Sequence[Sequence[float]], done: Callable[[list[float]], None]) -> None:
-        """Queue one request per geometry; once the last value arrives, call
-        `done` with all of them in geometry order."""
-        values: list = [None] * len(geometries)
-
-        def fill(slot: int, value: float) -> None:
-            values[slot] = value
-            if all(v is not None for v in values):
-                done(values)
-
-        for slot, geometry in enumerate(geometries):
-            self._queue.append((geometry, functools.partial(fill, slot)))
+        """Request the points of unit-cube geometries as one group."""
+        self._requests.request_all(np.asarray(geometries, dtype=float) * self._scale, done)
 
     def _add_rect(self, center: tuple, half_widths: tuple, value: float) -> None:
         self._rects.append(Rect(center, half_widths, f_center=value, best_value=value))
@@ -184,38 +164,26 @@ class DirectSearch(Solver):
     def _plan_refine_step(self, rect: Rect) -> None:
         refiner = rect.refiner
         assert refiner is not None
-        geometries = []
-        for u in refiner.pending():
-            geometry = np.asarray(rect.center, dtype=float).copy()
-            geometry[self._cont] = u
-            geometries.append(geometry)
 
         def advance(values: list[float]) -> None:
             refiner.advance(values)
             rect.best_value = min(rect.best_value, refiner.best_f)
 
-        self._request_all(geometries, advance)
+        self._request_all(simplex_rows(np.asarray(rect.center, dtype=float), self._cont, refiner), advance)
 
     # -- solver contract ------------------------------------------------------
 
     def ask(self, max_points: int) -> list[Point]:
-        if not self._queue and not self._waiting:
+        if self._requests.idle():
             if self._rects:
                 self._plan_wave()
             else:
-                root = (0.5,) * self._dims
+                root = (0.5,) * len(self._scale)
                 self._request_all([root], lambda values: self._add_rect(root, root, values[0]))
-        serve = self._queue[:max_points]
-        self._queue = self._queue[len(serve):]
-        keyed = decode_keyed(self._space, np.reshape([g for g, _ in serve], (-1, self._dims)) * self._scale)
-        for (_, key), (_, on_value) in zip(keyed, serve):
-            self._waiting.setdefault(key, []).append(on_value)
-        return [p for p, _ in keyed]
+        return self._requests.serve(max_points)
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
-        for rec in records:
-            for on_value in self._waiting.pop(rec.key, ()):
-                on_value(rec.objective)
+        self._requests.deliver(records)
 
     @property
     def rects(self) -> list[Rect]:

@@ -61,15 +61,11 @@ class HybridConfig:
 
 @dataclass(eq=False)
 class Member:
-    point: Point
-    key: CacheKey
-    encoded: np.ndarray
-    objective: float
+    rec: TrialRecord
     delta: float
-    eval_id: int
 
     def rank_key(self) -> tuple[float, int]:
-        return (self.objective, self.eval_id)
+        return (self.rec.objective, self.rec.eval_id)
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class _Generation:
 
 
 def nearest_neighbor_distances(space: SearchSpace, members: Sequence[Member]) -> list[float]:
-    encoded = np.stack([m.encoded for m in members])
+    encoded = np.stack([m.rec.encoded for m in members])
     sq = mixed_sqdist_matrix(space, encoded, encoded)
     np.fill_diagonal(sq, np.inf)
     return np.sqrt(sq.min(axis=1)).tolist()
@@ -135,7 +131,7 @@ def select_centers(
     chosen = [best]
     if len(chosen) < n_centers:
         nn = nearest_neighbor_distances(space, members)
-        front = [members[i] for i in pareto_front([m.objective for m in members], nn)]
+        front = [members[i] for i in pareto_front([m.rec.objective for m in members], nn)]
         candidates = [m for m in front if m is not best]
         while len(chosen) < n_centers and candidates:
             pick = int(rng.integers(0, len(candidates)))
@@ -150,27 +146,23 @@ def select_centers(
 def poll_points(space: SearchSpace, member: Member) -> list[tuple[Point, CacheKey]]:
     """Compass points at +/- delta along each numeric channel, snapped into
     bounds, with their keys; points that snap onto the center are dropped."""
-    rows = np.repeat(member.encoded[None, :], 2 * len(space.numeric_indices), axis=0)
+    rows = np.repeat(member.rec.encoded[None, :], 2 * len(space.numeric_indices), axis=0)
     for j, i in enumerate(space.numeric_indices):
         rows[2 * j, i] += member.delta
         rows[2 * j + 1, i] -= member.delta
-    return [(p, key) for p, key in decode_keyed(space, rows) if key != member.key]
+    return [(p, key) for p, key in decode_keyed(space, rows) if key != member.rec.key]
 
 
 def growth_update(center: Member, poll_records: Sequence[TrialRecord], alpha: float) -> GrowthEvent:
     """Pattern-search decision for one center: move to the best poll under
     sufficient decrease (f_best < f_center - alpha * delta^2), else halve the
-    step. An empty poll set counts as a failure. Mutates the member; the step
-    is kept on a move and halved otherwise."""
+    step. An empty poll set counts as a failure. Mutates the member: a move
+    replaces its record with the poll's and keeps the step."""
     delta = center.delta
-    f_old = center.objective
+    f_old = center.rec.objective
     best = min(poll_records, key=lambda r: (r.objective, r.eval_id), default=None)
     if best is not None and best.objective < f_old - alpha * delta * delta:
-        center.point = best.point
-        center.key = best.key
-        center.encoded = best.encoded
-        center.objective = best.objective
-        center.eval_id = best.eval_id
+        center.rec = best
         return GrowthEvent(True, f_old, best.objective, delta, delta, alpha)
     center.delta = delta / 2
     return GrowthEvent(
@@ -201,10 +193,10 @@ def make_children(
     children = []
     for _ in range(count):
         p1, p2 = tournament(), tournament()
-        enc = p1.encoded.copy()
+        enc = p1.rec.encoded.copy()
         for ch in range(len(space.variables)):
             if rng.random() < config.crossover_prob and rng.random() < 0.5:
-                enc[ch] = p2.encoded[ch]
+                enc[ch] = p2.rec.encoded[ch]
         for ch, var in enumerate(space.variables):
             if rng.random() < config.mutation_prob:
                 if isinstance(var, CategoricalVariable):
@@ -278,22 +270,12 @@ class HybridSearch(Solver):
             # nothing asked this round; shared foreign records can still help
             self._adopt_foreign(recmap.values())
 
-    def _member_from(self, rec: TrialRecord) -> Member:
-        return Member(
-            point=rec.point,
-            key=rec.key,
-            encoded=rec.encoded,
-            objective=rec.objective,
-            delta=self.config.delta_init,
-            eval_id=rec.eval_id,
-        )
-
     def _absorb_init(self, recmap: dict[CacheKey, TrialRecord]) -> None:
         assert self._init_keys is not None
         own = set(self._init_keys)
         for key in self._init_keys:
             if key in recmap:
-                self.population.append(self._member_from(recmap[key]))
+                self.population.append(Member(recmap[key], self.config.delta_init))
         self._adopt_foreign(rec for key, rec in recmap.items() if key not in own)
 
     def _absorb_generation(self, recmap: dict[CacheKey, TrialRecord]) -> None:
@@ -313,10 +295,7 @@ class HybridSearch(Solver):
         keep = keep[: cfg.population]  # centers + elites can overflow tiny populations
 
         child_records = {key: recmap[key] for key in gen.children_keys if key in recmap}
-        fills = [
-            self._member_from(rec)
-            for rec in sorted(child_records.values(), key=lambda r: (r.objective, r.eval_id))
-        ]
+        fills = sorted((Member(rec, cfg.delta_init) for rec in child_records.values()), key=Member.rank_key)
         slots = max(cfg.population - len(keep), 0)
         new_pop = keep + fills[:slots]
         if len(new_pop) < cfg.population:
@@ -330,12 +309,12 @@ class HybridSearch(Solver):
         """A shared record better than the current worst member replaces it."""
         if not self.population:
             return
-        member_keys = {m.key for m in self.population}
+        member_keys = {m.rec.key for m in self.population}
         for rec in sorted(records, key=lambda r: r.eval_id):
             if rec.key in member_keys:
                 continue
             worst_i = max(range(len(self.population)), key=lambda i: self.population[i].rank_key())
-            if rec.objective < self.population[worst_i].objective:
-                member_keys.discard(self.population[worst_i].key)
-                self.population[worst_i] = self._member_from(rec)
+            if rec.objective < self.population[worst_i].rec.objective:
+                member_keys.discard(self.population[worst_i].rec.key)
+                self.population[worst_i] = Member(rec, self.config.delta_init)
                 member_keys.add(rec.key)

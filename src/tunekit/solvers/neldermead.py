@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cache import CacheKey, decode_keyed
+from ..cache import Requests
 from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_design, lhs_encoded
 from ..space import Point, SearchSpace
@@ -167,6 +167,15 @@ class SimplexSearch:
                     self._fs = [fs[0]] + list(new_fs)
 
 
+def simplex_rows(template: np.ndarray, channels: Sequence[int], search: SimplexSearch) -> np.ndarray:
+    """The template row once per pending point of the search, with the
+    point's coordinates placed in the given channels."""
+    pending = search.pending()
+    rows = np.repeat(template[None, :], len(pending), axis=0)
+    rows[:, channels] = pending
+    return rows
+
+
 def nm_minimize_many(
     fn_rows: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     starts: Sequence[np.ndarray],
@@ -214,7 +223,9 @@ def nm_minimize(
 
 class NelderMeadSolver(Solver):
     """Simplex search over the continuous channels of a space; integer and
-    categorical channels stay frozen at the (snapped) start point."""
+    categorical channels stay frozen at the (snapped) start point. Each step's
+    pending points are one group of a `cache.Requests` queue, served over as
+    many asks as max_points needs; the last of their values advances it."""
 
     def __init__(
         self,
@@ -226,7 +237,6 @@ class NelderMeadSolver(Solver):
         check_param("edge", edge, integer=False, minimum=0, strict=True)
         if max_iters is not None:
             check_param("max_iters", max_iters, integer=True, minimum=0)
-        self._space = space
         self._cont = space.continuous_indices
         if not self._cont:
             raise ValueError("Nelder-Mead needs at least one continuous variable")
@@ -235,31 +245,15 @@ class NelderMeadSolver(Solver):
         start = lhs_design(space, SampleRequest(1, int(rng.integers(0, 2**63))))
         self._template = lhs_encoded(space, start)[0]
         self._search = SimplexSearch(self._template[self._cont], edge=edge)
-        self._slots: list[tuple[Point, CacheKey]] = []  # one slot per pending simplex point
-        self._values: list[float | None] = []
-
-    def _prepare_slots(self) -> None:
-        pending = self._search.pending()
-        merged = np.repeat(self._template[None, :], len(pending), axis=0)
-        merged[:, self._cont] = pending
-        self._slots = decode_keyed(self._space, merged)
-        self._values = [None] * len(self._slots)
+        self._requests = Requests(space)
 
     def ask(self, max_points: int) -> list[Point]:
-        if not self._slots:
-            self._prepare_slots()
-        unserved = [p for (p, _), v in zip(self._slots, self._values) if v is None]
-        return unserved[:max_points]
+        if self._requests.idle():
+            self._requests.request_all(simplex_rows(self._template, self._cont, self._search), self._search.advance)
+        return self._requests.serve(max_points)
 
     def tell(self, records: Sequence[TrialRecord]) -> None:
-        by_key = {r.key: r.objective for r in records}
-        for i, (_, key) in enumerate(self._slots):
-            if self._values[i] is None and key in by_key:
-                self._values[i] = by_key[key]
-        if self._slots and all(v is not None for v in self._values):
-            self._search.advance(self._values)  # type: ignore[arg-type]
-            self._slots = []
-            self._values = []
+        self._requests.deliver(records)
 
     def is_done(self) -> bool:
         return self._max_iters is not None and self._search.iterations >= self._max_iters

@@ -17,7 +17,7 @@ from tunekit.objectives import Dataset
 from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import CANDIDATE_COUNT, REFINE_MAX_ITERS, GPModel
 from tunekit.solvers.neldermead import CONTRACT, DEGENERATE_VOLUME, EXPAND, REFLECT, REINIT_EDGE, SHRINK
-from tunekit.space import Point, SearchSpace, decode, encode
+from tunekit.space import ContinuousVariable, IntegerVariable, Point, SearchSpace, decode, encode
 from tunekit.trials import TrialRecord
 
 
@@ -33,6 +33,21 @@ def run_python(code: str) -> str:
 def strip_wall_time(history_csv: str) -> str:
     """A history.csv without its last column, wall_time_ms."""
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in history_csv.splitlines())
+
+
+def reference_random_sample(space: SearchSpace, req: SampleRequest) -> list[Point]:
+    """random_sample built column by column per variable kind, one Python
+    value at a time; the draws are made in the same order."""
+    rng = np.random.default_rng(req.seed)
+    columns: list[list] = []
+    for var in space.variables:
+        if isinstance(var, ContinuousVariable):
+            columns.append(list(rng.uniform(var.lo, var.hi, req.n)))
+        elif isinstance(var, IntegerVariable):
+            columns.append([int(k) for k in rng.integers(var.lo, var.hi + 1, req.n)])
+        else:
+            columns.append([var.levels[i] for i in rng.integers(0, len(var.levels), req.n)])
+    return [Point(col[i] for col in columns) for i in range(req.n)]
 
 
 def encoded_sqdistance(space: SearchSpace, ea: np.ndarray, eb: np.ndarray) -> float:

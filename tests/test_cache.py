@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import ScriptedSolver, counted
-from tunekit.cache import canonical_key
+from tunekit.cache import Requests, canonical_key
 from tunekit.manager import Solver, TuningManager
 from tunekit.space import (
     CategoricalVariable,
@@ -16,8 +16,9 @@ from tunekit.space import (
     Point,
     SearchSpace,
     decode,
+    encode,
 )
-from tunekit.trials import Budget
+from tunekit.trials import Budget, TrialRecord
 
 SPACE = SearchSpace(
     [
@@ -123,3 +124,61 @@ def test_neighbouring_integers_at_the_range_limit_get_distinct_keys():
             build_space([{"name": "k", "type": "integer", "bounds": bounds}])
         with pytest.raises(ValueError, match="k.bounds too large"):
             IntegerVariable("k", *bounds)
+
+
+# -- Requests -----------------------------------------------------------------------
+
+
+def told(p: Point, objective: float, eval_id: int) -> TrialRecord:
+    return TrialRecord(
+        point=p,
+        key=canonical_key(SPACE, p),
+        encoded=encode(SPACE, p),
+        objective=objective,
+        status="ok",
+        solver_id="t",
+        iteration=1,
+        eval_id=eval_id,
+    )
+
+
+def test_requests_serve_across_asks_and_finish_the_group_once():
+    requests = Requests(SPACE)
+    calls = []
+    rows = np.array([[0.1, 0.0, 0.0], [0.2, 0.5, 1.0], [0.3, 1.0, 0.0]])
+    requests.request_all(rows, calls.append)
+    served = [requests.serve(1) for _ in range(3)]
+    assert [len(points) for points in served] == [1, 1, 1]
+    assert [points[0] for points in served] == [decode(SPACE, row) for row in rows]
+    assert requests.serve(1) == [] and not requests.idle()
+    # records arrive last row first; the group finishes once, in row order
+    for i, points in reversed(list(enumerate(served))):
+        requests.deliver([told(points[0], 10.0 + i, 1 + i)])
+    requests.deliver([told(served[0][0], 99.0, 9)])  # nothing waits for it now
+    assert calls == [[10.0, 11.0, 12.0]]
+    assert requests.idle()
+
+
+def test_requests_that_snap_to_one_key_each_get_its_value():
+    requests = Requests(SPACE)
+    calls = []
+    # k's encoded 0.49 and 0.51 both snap to k = 3
+    requests.request_all(np.array([[0.2, 0.49, 0.0], [0.2, 0.51, 0.0]]), calls.append)
+    first, second = requests.serve(2)
+    assert first == second
+    requests.deliver([told(first, 4.0, 1)])
+    assert calls == [[4.0, 4.0]] and requests.idle()
+
+
+def test_requests_ignore_a_record_for_a_request_not_yet_served():
+    requests = Requests(SPACE)
+    calls = []
+    rows = np.array([[0.1, 0.0, 0.0], [0.2, 0.5, 1.0]])
+    requests.request_all(rows, calls.append)
+    (p0,) = requests.serve(1)
+    requests.deliver([told(p0, 1.0, 1), told(decode(SPACE, rows[1]), 2.0, 2)])
+    assert calls == []
+    (p1,) = requests.serve(1)  # served all the same; the manager answers it
+    assert p1 == decode(SPACE, rows[1])
+    requests.deliver([told(p1, 2.0, 2)])
+    assert calls == [[1.0, 2.0]]

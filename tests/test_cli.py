@@ -217,6 +217,54 @@ def test_tune_bad_objective_spec_exit_1(tmp_path: Path):
     assert "oracle" in result.output
 
 
+KNN_SPACE = [
+    {"name": "k", "type": "integer", "bounds": [1, 5]},
+    {"name": "weight", "type": "categorical", "levels": ["uniform", "inverse"]},
+    {"name": "power", "type": "continuous", "bounds": [0.5, 4.0]},
+]
+BLOBS = {"dataset": {"blobs": {"n_rows": 40, "seed": 1}}}
+
+
+def knn_space(i: int, **changes) -> list[dict]:
+    """KNN_SPACE with entry i changed."""
+    return [dict(v, **changes) if j == i else v for j, v in enumerate(KNN_SPACE)]
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"objective": {"builtin": "sphere"}}, "objective.builtin"),
+        ({"objective": {"knn": "x"}}, "objective.knn"),
+        ({"objective": {"builtin": {"name": "noisy", "params": {"sigma": "x"}}}}, "noisy.sigma"),
+        ({"objective": {"builtin": {"name": "noisy", "params": {"sigma": True}}}}, "noisy.sigma"),
+        ({"objective": {"builtin": {"name": "sphere", "params": {"sigmaa": 1}}}}, "sigmaa"),
+        ({"objective": {"builtin": {"name": "sphere", "parms": {}}}}, "parms"),
+        ({"objective": {"builtin": {"name": "cliff", "params": {"fail_var": 5, "fail_above": 0.0}}}}, "cliff.fail_var"),
+        ({"objective": {"builtin": {"name": "cliff", "params": {"fail_var": "z", "fail_above": 0.0}}}}, "cliff.fail_var"),
+        ({"objective": {"builtin": {"name": "cliff", "params": {"fail_var": 0}}}}, "cliff.fail_above"),
+        ({"objective": {"external": {"command": ""}}}, "external.command"),
+        ({"objective": {"external": {"command": "true", "timeout_ms": True}}}, "external.timeout_ms"),
+        ({"objective": {"external": {"command": "true", "timeout": 5}}}, "timeout"),
+        ({"space": KNN_SPACE, "objective": {"knn": {**BLOBS, "validation": 0.3}}}, "validation"),
+        ({"space": KNN_SPACE, "objective": {"knn": {"dataset": {"blobs": {"foo": 1}}}}}, "foo"),
+        ({"space": knn_space(0, bounds=[0, 5]), "objective": {"knn": BLOBS}}, "variable 'k'"),
+        ({"space": knn_space(0, type="continuous", bounds=[1.0, 5.0]), "objective": {"knn": BLOBS}}, "variable 'k'"),
+        ({"space": KNN_SPACE[1:], "objective": {"knn": BLOBS}}, "variable 'k'"),
+        ({"space": knn_space(1, levels=["uniform", "foo"]), "objective": {"knn": BLOBS}}, "variable 'weight'"),
+        ({"space": knn_space(2, bounds=[0.0, 4.0]), "objective": {"knn": BLOBS}}, "variable 'power'"),
+        ({"space": knn_space(2, type="integer", bounds=[1, 4]), "objective": {"knn": BLOBS}}, "variable 'power'"),
+    ],
+)
+def test_tune_bad_objective_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
+    config = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "o"
+    result = run_cli("tune", "--config", str(config), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a handled error, not a traceback
+    assert result.output.startswith("error: ") and field in result.output
+    assert not (out / "history.csv").exists()
+
+
 def test_tune_and_bench_build_each_objective_once(tmp_path: Path, monkeypatch):
     built: list[int] = []
 

@@ -335,6 +335,35 @@ def test_neldermead_solver_runs_under_manager():
     assert history.best_record().objective <= 1e-3
 
 
+def test_neldermead_advances_after_the_last_vertex_record_at_one_point_per_ask():
+    space = unit_space(2)
+    solver = NelderMeadSolver(space, seed=4)
+    vertices = []
+    for i in range(3):  # the initial simplex, one vertex per ask
+        assert solver._search.iterations == 0
+        (p,) = solver.ask(1)
+        vertices.append(p)
+        solver.tell([rec(space, p, float(i), 1 + i)])
+    assert len(set(vertices)) == 3
+    assert solver._search.iterations == 1
+    (reflected,) = solver.ask(1)
+    assert reflected not in vertices
+
+
+def test_neldermead_does_not_fill_an_unserved_vertex_from_a_foreign_record():
+    space = unit_space(2)
+    vertices = NelderMeadSolver(space, seed=4).ask(3)
+    solver = NelderMeadSolver(space, seed=4)
+    assert solver.ask(1) == vertices[:1]
+    # another solver's record for the next vertex arrives before it is served
+    solver.tell([rec(space, vertices[0], 0.0, 1), rec(space, vertices[1], 1.0, 2)])
+    assert solver.ask(1) == vertices[1:2]  # served anyway, answered from the cache
+    solver.tell([rec(space, vertices[1], 1.0, 2)])
+    assert solver.ask(1) == vertices[2:]
+    solver.tell([rec(space, vertices[2], 2.0, 3)])
+    assert solver._search.iterations == 1
+
+
 def test_theta_zero_never_refines():
     space = unit_space(2)
     solver = DirectSearch(space, theta=0.0)

@@ -43,15 +43,7 @@ MIXED = SearchSpace(
 
 
 def member(space: SearchSpace, values, objective: float, delta: float = 0.1, eval_id: int = 1) -> Member:
-    p = Point(values)
-    return Member(
-        point=p,
-        key=canonical_key(space, p),
-        encoded=encode(space, p),
-        objective=objective,
-        delta=delta,
-        eval_id=eval_id,
-    )
+    return Member(rec(space, Point(values), objective, eval_id), delta)
 
 
 def rec(space: SearchSpace, p: Point, objective: float, eval_id: int) -> TrialRecord:
@@ -139,7 +131,7 @@ def test_nearest_neighbor_distances_match_scalar_oracle():
         for i in range(7)
     ]
     expected = [
-        min(encoded_distance(MIXED, m.encoded, o.encoded) for o in members if o is not m) for m in members
+        min(encoded_distance(MIXED, m.rec.encoded, o.rec.encoded) for o in members if o is not m) for m in members
     ]
     assert nearest_neighbor_distances(MIXED, members) == expected
     assert nearest_neighbor_distances(MIXED, members[:1]) == [float("inf")]
@@ -200,9 +192,9 @@ def test_growth_accepts_sufficient_decrease():
     poll = rec(UNIT2, Point([0.6, 0.5]), 0.99, eval_id=10)
     event = growth_update(m, [poll], alpha=1e-4)
     assert event.accepted
-    assert m.objective == 0.99
-    assert m.point.values == (0.6, 0.5)
-    assert m.key == poll.key
+    assert m.rec is poll
+    assert m.rec.objective == 0.99
+    assert m.rec.point.values == (0.6, 0.5)
     assert m.delta == 0.1  # step kept on success
 
 
@@ -211,7 +203,7 @@ def test_growth_rejects_equal_value_and_halves():
     event = growth_update(m, [rec(UNIT2, Point([0.6, 0.5]), 1.0, 11)], alpha=1e-4)
     assert not event.accepted
     assert m.delta == 0.05
-    assert m.point.values == (0.5, 0.5)
+    assert m.rec.point.values == (0.5, 0.5)
 
 
 def test_growth_boundary_is_strict():
@@ -235,7 +227,7 @@ def test_child_of_identical_parents_without_mutation_is_parent():
     cfg = HybridConfig(mutation_prob=0.0)
     m = member(MIXED, [0.5, 16, "b"], 1.0)
     children = make_children(MIXED, [m, m], 5, cfg, np.random.default_rng(0))
-    assert all(c.values == m.point.values and key == m.key for c, key in children)
+    assert all(c.values == m.rec.point.values and key == m.rec.key for c, key in children)
 
 
 def test_children_are_valid_points():
@@ -311,7 +303,7 @@ def test_zeroed_operators_reduce_to_pure_lhs():
     # only the initial LHS is ever evaluated; later asks are all duplicates
     assert history.evaluations == cfg.population
     init_points = {r.point.values for r in history.records if r.iteration == 1}
-    assert {m.point.values for m in solver.population} <= init_points
+    assert {m.rec.point.values for m in solver.population} <= init_points
 
 
 def test_foreign_adoption_hand_replay():
@@ -328,8 +320,8 @@ def test_foreign_adoption_hand_replay():
         rec(UNIT2, Point([0.1, 0.1]), 0.1, eval_id=104),  # already a member: skipped
     ]
     solver._adopt_foreign(foreign)
-    assert sorted(m.objective for m in solver.population) == [0.5, 1.0, 2.0]
-    adopted = next(m for m in solver.population if m.objective == 0.5)
+    assert sorted(m.rec.objective for m in solver.population) == [0.5, 1.0, 2.0]
+    adopted = next(m for m in solver.population if m.rec.objective == 0.5)
     assert adopted.delta == solver.config.delta_init
 
 
@@ -364,7 +356,7 @@ def test_delta_halves_once_per_failed_generation():
     # ties on objective resolve to the lowest eval_id, so the single center is
     # the same member every generation and its step halved once per generation
     anchor = min(solver.population, key=Member.rank_key)
-    assert anchor.eval_id == 1
+    assert anchor.rec.eval_id == 1
     assert anchor.delta == pytest.approx(solver.config.delta_init / 2 ** len(rejections))
 
 

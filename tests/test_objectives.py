@@ -34,7 +34,7 @@ from tunekit.objectives import (
     partition,
 )
 from tunekit.objectives.knn import minkowski_distances
-from tunekit.space import ContinuousVariable, IntegerVariable, Point, SearchSpace
+from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from tunekit.trials import EvaluationFailed
 
 BOX2 = SearchSpace([ContinuousVariable("x", -5.0, 5.0), ContinuousVariable("y", -5.0, 5.0)])
@@ -277,6 +277,26 @@ def test_knn_objective_k_bound_checked_at_construction():
     )
     with pytest.raises(ValueError):
         KnnObjective(space, dataset, PartitionSpec(seed=3))
+
+
+@pytest.mark.parametrize(
+    "index, variable",
+    [
+        (0, IntegerVariable("k", 0, 5)),
+        (0, ContinuousVariable("k", 1.0, 5.0)),
+        (0, None),
+        (1, CategoricalVariable("weight", ("uniform", "foo"))),
+        (1, ContinuousVariable("weight", 0.0, 1.0)),
+        (2, ContinuousVariable("power", 0.0, 4.0)),
+        (2, IntegerVariable("power", 1, 4)),
+    ],
+)
+def test_knn_objective_rejects_a_space_that_can_only_fail(index, variable):
+    knn_vars = list(default_knn_space(5).variables)
+    name = knn_vars[index].name
+    knn_vars[index : index + 1] = [] if variable is None else [variable]
+    with pytest.raises(SpaceMismatchError, match=f"variable '{name}'"):
+        KnnObjective(SearchSpace(knn_vars), make_blobs(n_rows=20, seed=3), PartitionSpec(seed=3))
 
 
 # -- CSV ----------------------------------------------------------------------------------

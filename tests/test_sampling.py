@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import reference_random_sample
 from tunekit.sampling import SampleRequest, lhs_design, lhs_encoded, lhs_sample, random_sample
 from tunekit.solvers.samplers import LhsSearch
 from tunekit.space import (
@@ -56,6 +57,29 @@ def test_random_sample_mean_of_uniform():
 def test_random_sample_points_valid():
     for p in random_sample(MIXED, SampleRequest(50, seed=3)):
         assert is_valid(MIXED, p)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        MIXED,
+        SearchSpace(
+            [
+                IntegerVariable("lo", -(2**53), -(2**53) + 7),
+                IntegerVariable("hi", 2**53 - 10**12, 2**53),
+                ContinuousVariable("x", -1e300, 1e300),
+                CategoricalVariable("c", ("a", "b")),
+            ]
+        ),
+    ],
+    ids=["mixed", "near-2**53"],
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_random_sample_matches_reference(space, seed):
+    points = random_sample(space, SampleRequest(40, seed))
+    expected = reference_random_sample(space, SampleRequest(40, seed))
+    assert [p.values for p in points] == [p.values for p in expected]
+    assert [tuple(map(type, p.values)) for p in points] == [tuple(map(type, p.values)) for p in expected]
 
 
 # -- LHS sampler -------------------------------------------------------------

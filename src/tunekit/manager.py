@@ -6,12 +6,15 @@ from every live solver (round-robin, capped so the combined batch never
 exceeds the remaining budget). It validates each asked point, the only check
 of the points solvers hand in, encodes each ask in one call and keys each row
 once. Points whose key is neither cached nor already asked this iteration are
-new; each is owned by its first asker and evaluated on up to K worker
-threads, under eval_ids that follow the order of asking. The iteration's
-records, new and replayed from the cache, are sorted by eval_id once, and
-each solver is told the records of its own asks plus, if it was registered
-with sharing, every other record of the iteration. A tell holds each record
-once, in eval_id order, so the outcome is independent of completion order and
+new; each is owned by its first asker and gets an eval_id that follows the
+order of asking. The iteration hands at most K drain tasks to its K pool
+threads; each drain takes the next new point in eval_id order, evaluates it
+and stores its record in that point's slot, while the calling thread only
+waits, so no objective runs on it. The iteration's records, new and
+replayed from the cache, are sorted by eval_id once, and each solver is
+told the records of its own asks plus, if it was registered with sharing,
+every other record of the iteration. A tell holds each record once, in
+eval_id order, so the outcome is independent of completion order and
 therefore of K. Every record carries its point's key and encoded row.
 
 A solver whose ask, is_done or tell raises, or that asks for a point that is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
@@ -155,7 +159,9 @@ class TuningManager:
                 for ask in asks:
                     if ask.key not in cache and ask.key not in new:
                         new[ask.key] = ask  # owned by its first asker
-                fresh = self._evaluate(pool, objective, new.values(), iteration, history.evaluations)
+                fresh = self._evaluate(
+                    pool, budget.max_concurrency, objective, new.values(), iteration, history.evaluations
+                )
                 history.records.extend(fresh)
                 cache.update((rec.key, rec) for rec in fresh)
                 history.close_iteration(iteration)
@@ -202,13 +208,19 @@ class TuningManager:
     def _evaluate(
         self,
         pool: ThreadPoolExecutor,
+        workers: int,
         objective: Objective,
         new: Iterable[_Ask],
         iteration: int,
         evaluations: int,
     ) -> list[TrialRecord]:
         """Evaluate the new points under eval_ids evaluations+1, ...; the
-        records come back in eval_id order."""
+        records come back in eval_id order.
+
+        At most `workers` drain tasks go to the pool, one hand-off per worker
+        instead of one per point. Each drain takes the next point from one
+        shared iterator, so points start in eval_id order and an idle worker
+        takes the next one, and writes its record into the point's slot."""
 
         def worker(ask: _Ask, eval_id: int) -> TrialRecord:
             start = time.perf_counter()
@@ -235,8 +247,22 @@ class TuningManager:
                 fail_reason=reason,
             )
 
-        futures = [pool.submit(worker, ask, evaluations + i) for i, ask in enumerate(new, 1)]
-        return [f.result() for f in futures]
+        asks = list(new)
+        records: list = [None] * len(asks)
+        queue = enumerate(asks)
+        lock = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    index, ask = next(queue, (None, None))
+                if ask is None:
+                    return
+                records[index] = worker(ask, evaluations + 1 + index)
+
+        for task in [pool.submit(drain) for _ in range(min(workers, len(asks)))]:
+            task.result()
+        return records
 
     def _broadcast(self, live: list[_Registration], asks: list[_Ask], batch: list[TrialRecord]) -> None:
         """Tell each live solver its share of the iteration's records, which

@@ -48,6 +48,16 @@ __all__ = [
 ]
 
 
+# make_blobs's params of a blobs reference: (integer, minimum) of each.
+_BLOB_PARAMS = {
+    "n_rows": (True, 2),
+    "n_features": (True, 1),
+    "sigma": (False, 0),
+    "separation": (False, 0),
+    "seed": (True, 0),
+}
+
+
 def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
     """Construct the evaluation callable described by a config objective spec.
 
@@ -66,21 +76,29 @@ def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
         body = check_keys("objective.knn", body, ("dataset", "validation_fraction", "partition_seed", "stratified"))
         dataset_ref = check_keys("knn.dataset", body.get("dataset"), ("csv", "label", "blobs"))
         if "csv" in dataset_ref:
+            for name in ("csv", "label"):
+                if not isinstance(dataset_ref.get(name), str):
+                    raise ValueError(f"knn.dataset.{name} must be a string, got {dataset_ref.get(name)!r}")
             dataset = load_csv(dataset_ref["csv"], dataset_ref["label"])
         elif "blobs" in dataset_ref:
-            blob_args = check_keys(
-                "knn.dataset.blobs", dataset_ref["blobs"], ("n_rows", "n_features", "sigma", "separation", "seed")
-            )
+            blob_args = check_keys("knn.dataset.blobs", dataset_ref["blobs"], tuple(_BLOB_PARAMS))
             blob_args.setdefault("seed", seed)
+            for name, value in blob_args.items():
+                integer, minimum = _BLOB_PARAMS[name]
+                check_param(f"knn.dataset.blobs.{name}", value, integer=integer, minimum=minimum)
             dataset = make_blobs(**blob_args)
         else:
             raise ValueError(f"unknown dataset reference {dataset_ref!r}")
-        part_spec = PartitionSpec(
-            validation_fraction=body.get("validation_fraction", 0.30),
-            seed=body.get("partition_seed", seed),
-            stratified=body.get("stratified", True),
-        )
-        return KnnObjective(space, dataset, part_spec)
+        fraction = body.get("validation_fraction", 0.30)
+        check_param("knn.validation_fraction", fraction, integer=False, minimum=0, strict=True)
+        if fraction >= 1:
+            raise ValueError(f"knn.validation_fraction must lie in (0, 1), got {fraction!r}")
+        partition_seed = body.get("partition_seed", seed)
+        check_param("knn.partition_seed", partition_seed, integer=True, minimum=0)
+        stratified = body.get("stratified", True)
+        if not isinstance(stratified, bool):
+            raise ValueError(f"knn.stratified must be true or false, got {stratified!r}")
+        return KnnObjective(space, dataset, PartitionSpec(fraction, partition_seed, stratified))
     if kind == "external":
         body = check_keys("objective.external", body, ("command", "timeout_ms"))
         command, timeout_ms = body.get("command"), body.get("timeout_ms", 10_000)

@@ -230,6 +230,12 @@ def knn_space(i: int, **changes) -> list[dict]:
     return [dict(v, **changes) if j == i else v for j, v in enumerate(KNN_SPACE)]
 
 
+def knn_objective(blobs: dict | None = None, **fields) -> dict:
+    """A k-NN objective on BLOBS, with the blobs params and the knn fields changed."""
+    dataset = {"blobs": {**BLOBS["dataset"]["blobs"], **(blobs or {})}}
+    return {"knn": {"dataset": dataset, **fields}}
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -253,6 +259,14 @@ def knn_space(i: int, **changes) -> list[dict]:
         ({"space": knn_space(1, levels=["uniform", "foo"]), "objective": {"knn": BLOBS}}, "variable 'weight'"),
         ({"space": knn_space(2, bounds=[0.0, 4.0]), "objective": {"knn": BLOBS}}, "variable 'power'"),
         ({"space": knn_space(2, type="integer", bounds=[1, 4]), "objective": {"knn": BLOBS}}, "variable 'power'"),
+        ({"space": KNN_SPACE, "objective": knn_objective({"n_rows": "x"})}, "knn.dataset.blobs.n_rows"),
+        ({"space": KNN_SPACE, "objective": knn_objective({"n_features": 0})}, "knn.dataset.blobs.n_features"),
+        ({"space": KNN_SPACE, "objective": knn_objective({"sigma": "x"})}, "knn.dataset.blobs.sigma"),
+        ({"space": KNN_SPACE, "objective": knn_objective(validation_fraction="x")}, "knn.validation_fraction"),
+        ({"space": KNN_SPACE, "objective": knn_objective(validation_fraction=1.0)}, "knn.validation_fraction"),
+        ({"space": KNN_SPACE, "objective": knn_objective(partition_seed="x")}, "knn.partition_seed"),
+        ({"space": KNN_SPACE, "objective": knn_objective(stratified="no")}, "knn.stratified"),
+        ({"space": KNN_SPACE, "objective": {"knn": {"dataset": {"csv": "data.csv"}}}}, "knn.dataset.label"),
     ],
 )
 def test_tune_bad_objective_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):

@@ -4,11 +4,14 @@ tolerance, and the run summary."""
 from __future__ import annotations
 
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tunekit.manager as manager_module
 import tunekit.space as space_module
 from helpers import RecordingSolver, ScriptedSolver, counted
 from tunekit.cache import canonical_key
@@ -291,6 +294,124 @@ def test_portfolio_validates_each_asked_point_once(monkeypatch):
     history = _run_once(config, config.seed, objective, instantiate_solvers(config, config.seed))
     assert history.evaluations == config.budget.max_evaluations
     assert len(calls) == history.points_asked
+
+
+# -- evaluation phase ----------------------------------------------------------------------
+
+
+def distinct_batches(sizes: list[int]) -> list[list[Point]]:
+    """Batches of the given sizes, no point repeated across or within them."""
+    values = iter(np.linspace(-4.9, 4.9, sum(sizes)))
+    return [[Point([float(v), 0.0]) for v in [next(values) for _ in range(n)]] for n in sizes]
+
+
+class ConcurrencyProbe:
+    """An objective that logs the threads it runs on and the most calls that
+    ever ran at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+        self.threads: set[int] = set()
+
+    def __call__(self, point: Point, eval_id: int) -> float:
+        with self._lock:
+            self._running += 1
+            self.peak = max(self.peak, self._running)
+            self.threads.add(threading.get_ident())
+        time.sleep(0.001)
+        with self._lock:
+            self._running -= 1
+        return sphere_objective(point, eval_id)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_k_evaluations_run_at_once(k):
+    # each evaluation waits until k of them are running; a pool that ran
+    # fewer at once would break the barrier and fail the evaluations
+    barrier = threading.Barrier(k, timeout=5)
+
+    def objective(point: Point, eval_id: int) -> float:
+        barrier.wait()
+        return sphere_objective(point, eval_id)
+
+    manager = TuningManager(SPACE2)
+    manager.register_solver(RandomSearch(SPACE2, seed=6, batch=2 * k))
+    history = manager.run(objective, Budget(4 * k, max_concurrency=k))
+    assert [r.status for r in history.records] == ["ok"] * (4 * k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_at_most_k_evaluations_run_at_once(k):
+    sizes = [max(k // 2, 1), k, 3 * k + 1, 2]  # batches smaller and larger than k
+    probe = ConcurrencyProbe()
+    manager = TuningManager(SPACE2)
+    manager.register_solver(ScriptedSolver(distinct_batches(sizes)))
+    history = manager.run(probe, Budget(100, max_concurrency=k))
+    assert history.evaluations == sum(sizes)
+    assert 1 <= probe.peak <= k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_no_objective_runs_on_the_calling_thread(k):
+    probe = ConcurrencyProbe()
+    manager = TuningManager(SPACE2)
+    manager.register_solver(ScriptedSolver(distinct_batches([1, 3, 5])))
+    manager.run(probe, Budget(100, max_concurrency=k))
+    assert probe.threads and threading.get_ident() not in probe.threads
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_each_iteration_submits_at_most_k_tasks(monkeypatch, k):
+    sizes = [1, k, 3 * k + 1, 2]
+    solver = ContractSolver(distinct_batches(sizes))
+    submits: list[int] = []  # the iteration of each submit: the asks made so far
+    original = manager_module.ThreadPoolExecutor.submit
+
+    def counting(pool, fn, *args, **kwargs):
+        submits.append(len(solver.asks))
+        return original(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(manager_module.ThreadPoolExecutor, "submit", counting)
+    manager = TuningManager(SPACE2)
+    manager.register_solver(solver)
+    objective = counted(sphere_objective)
+    history = manager.run(objective, Budget(100, max_concurrency=k))
+    assert len(objective.calls) == history.evaluations == sum(sizes)
+    assert [submits.count(i) for i in range(1, len(sizes) + 1)] == [min(k, n) for n in sizes]
+
+
+def test_drains_evaluate_every_point_once_under_fast_thread_switching():
+    # more workers than cores and a short switch interval give a lost or
+    # doubled take from the shared point iterator every chance to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        objective = counted(sphere_objective)
+        manager = TuningManager(SPACE2)
+        manager.register_solver(RandomSearch(SPACE2, seed=12, batch=37))
+        history = manager.run(objective, Budget(400, max_concurrency=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(objective.calls) == list(range(1, 401))
+    assert [r.eval_id for r in history.records] == list(range(1, 401))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_keyboard_interrupt_in_objective_propagates_and_joins_the_pool(k):
+    before = set(threading.enumerate())
+
+    def objective(point: Point, eval_id: int) -> float:
+        if eval_id == 3:
+            raise KeyboardInterrupt
+        return sphere_objective(point, eval_id)
+
+    manager = TuningManager(SPACE2)
+    manager.register_solver(RandomSearch(SPACE2, seed=7, batch=5))
+    with pytest.raises(KeyboardInterrupt):
+        manager.run(objective, Budget(20, max_concurrency=k))
+    assert set(threading.enumerate()) <= before  # no pool thread left alive
 
 
 # -- history / summary ---------------------------------------------------------------------

@@ -220,7 +220,10 @@ class TuningManager:
         At most `workers` drain tasks go to the pool, one hand-off per worker
         instead of one per point. Each drain takes the next point from one
         shared iterator, so points start in eval_id order and an idle worker
-        takes the next one, and writes its record into the point's slot."""
+        takes the next one, and writes its record into the point's slot.
+        When an evaluation or the wait for the drains raises (an interrupt,
+        say), the iterator is exhausted, so the other drains stop after
+        their current point instead of finishing the batch."""
 
         def worker(ask: _Ask, eval_id: int) -> TrialRecord:
             start = time.perf_counter()
@@ -252,16 +255,29 @@ class TuningManager:
         queue = enumerate(asks)
         lock = threading.Lock()
 
+        def stop() -> None:
+            with lock:
+                for _ in queue:
+                    pass
+
         def drain() -> None:
             while True:
                 with lock:
                     index, ask = next(queue, (None, None))
                 if ask is None:
                     return
-                records[index] = worker(ask, evaluations + 1 + index)
+                try:
+                    records[index] = worker(ask, evaluations + 1 + index)
+                except BaseException:
+                    stop()
+                    raise
 
-        for task in [pool.submit(drain) for _ in range(min(workers, len(asks)))]:
-            task.result()
+        try:
+            for task in [pool.submit(drain) for _ in range(min(workers, len(asks)))]:
+                task.result()
+        except BaseException:
+            stop()
+            raise
         return records
 
     def _broadcast(self, live: list[_Registration], asks: list[_Ask], batch: list[TrialRecord]) -> None:

@@ -4,6 +4,9 @@ weighting (categorical: uniform/inverse), Minkowski exponent (continuous)."""
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
@@ -12,6 +15,9 @@ from .data import Dataset, Partition, PartitionSpec, partition
 from .functions import SpaceMismatchError
 
 INVERSE_EPS = 1e-12
+# Bytes of neighbour lists one shared scorer keeps over all powers: about
+# 300 powers of a 450-row validation partition at k_cap 31.
+NEIGHBOUR_CACHE_BYTES = 64 << 20
 
 
 def _pairwise_sum(term, lo: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -62,12 +68,21 @@ def _nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first k columns in stable-argsort order (by distance, equal
     distances by column), and their distances, without sorting whole rows:
     every entry below the row's k-th smallest value, then the earliest
-    entries equal to it, stable-sorted by distance."""
+    entries equal to it, stable-sorted by distance.
+
+    Most rows hold exactly k entries at or below their k-th smallest value
+    and take them all. Only a crowded row, whose k-th smallest value is
+    shared by more entries than the k have room for, counts its ties along
+    the row to keep the earliest; so the cumulative count runs over those
+    rows alone."""
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-    below = dists < kth
-    tied = dists == kth
-    room = k - np.count_nonzero(below, axis=1)
-    chosen = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    chosen = dists <= kth
+    crowded = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+    if crowded.size:
+        rows, kth_c = dists[crowded], kth[crowded]
+        below, tied = rows < kth_c, rows == kth_c
+        room = k - np.count_nonzero(below, axis=1)
+        chosen[crowded] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
     cols = np.nonzero(chosen)[1].reshape(len(dists), k)  # ascending within each row
     near = np.take_along_axis(dists, cols, axis=1)
     order = np.argsort(near, axis=1, kind="stable")
@@ -77,15 +92,54 @@ def _nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 class _Scorer:
     """A train/validation pair with its labels mapped once to indices into
     the sorted training labels; a validation label absent from training maps
-    to -1, which no prediction matches. Read-only, so threads may share it."""
+    to -1, which no prediction matches. Threads may share it.
 
-    def __init__(self, train: Dataset, validation: Dataset):
+    For each exact `power` it keeps every validation row's k_cap nearest
+    training rows (their labels and distances), so a later evaluation with
+    that power and any k <= k_cap reads the first k columns instead of
+    computing distances again. This is exact: neighbours are ordered by
+    (distance, training-row index), and the first k of that order are a
+    prefix of the first k_cap. The kept lists never exceed
+    NEIGHBOUR_CACHE_BYTES in all; the least recently used power goes first.
+    Two threads that miss on one power both compute it, outside the lock,
+    and keep one copy."""
+
+    def __init__(self, train: Dataset, validation: Dataset, k_cap: int):
         labels = sorted(set(train.labels))
         index = {lab: i for i, lab in enumerate(labels)}
         self.n_labels = len(labels)
+        self.k_cap = k_cap
         self.train_x, self.val_x = train.features, validation.features
         self.train_y = np.array([index[lab] for lab in train.labels], dtype=np.intp)
         self.val_y = np.array([index.get(lab, -1) for lab in validation.labels], dtype=np.intp)
+        self._kept: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._kept_bytes = 0
+        self._lock = threading.Lock()
+
+    def _neighbours(self, k: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, distances) of each validation row's nearest training rows
+        in neighbour order: k_cap columns, or k when k > k_cap."""
+        if k <= self.k_cap:
+            with self._lock:
+                entry = self._kept.get(power)
+                if entry is not None:
+                    self._kept.move_to_end(power)
+                    return entry
+        cols, near = _nearest(minkowski_distances(self.val_x, self.train_x, power), max(k, self.k_cap))
+        entry = (self.train_y[cols], near)
+        if k > self.k_cap:
+            return entry
+        for array in entry:
+            array.flags.writeable = False
+        size = sum(array.nbytes for array in entry)
+        with self._lock:
+            if power in self._kept or size > NEIGHBOUR_CACHE_BYTES:
+                return entry
+            while self._kept_bytes + size > NEIGHBOUR_CACHE_BYTES:
+                self._kept_bytes -= sum(array.nbytes for array in self._kept.popitem(last=False)[1])
+            self._kept[power] = entry
+            self._kept_bytes += size
+        return entry
 
     def error_rate(self, k: int, weight: str, power: float) -> float:
         n_train = len(self.train_y)
@@ -98,12 +152,13 @@ class _Scorer:
         if power <= 0:
             raise EvaluationFailed(f"power must be > 0, got {power}")
 
-        cols, near = _nearest(minkowski_distances(self.val_x, self.train_x, power), k)
+        labels, near = self._neighbours(k, power)
+        near = near[:, :k]
         weights = np.ones_like(near) if weight == "uniform" else 1.0 / (near + INVERSE_EPS)
         votes = np.zeros((len(self.val_y), self.n_labels))
         rows = np.arange(len(self.val_y))
         for c in range(k):  # in neighbour order: the inverse-weight sums depend on it
-            votes[rows, self.train_y[cols[:, c]]] += weights[:, c]
+            votes[rows, labels[:, c]] += weights[:, c]
         errors = np.count_nonzero(votes.argmax(axis=1) != self.val_y)  # first max: smallest label
         return errors / len(self.val_y)
 
@@ -124,16 +179,25 @@ def knn_error_rate(
     no training row has is always an error.
 
     Cost: k-NN has no training step, so nothing is retrained or carried over
-    between calls. Each call computes all len(validation) * len(train)
-    distances (one power per feature per pair), partitions each row of them
-    for its k nearest, and adds k columns of votes, in whole-array numpy
-    passes that release the GIL, so concurrent calls run in parallel.
+    between calls of this function (KnnObjective does carry neighbour lists
+    over). Each call computes all len(validation) * len(train) distances (one
+    power per feature per pair), partitions each row of them for its k
+    nearest, and adds k columns of votes, in whole-array numpy passes that
+    release the GIL, so concurrent calls run in parallel.
     """
-    return _Scorer(train, validation).error_rate(k, weight, power)
+    return _Scorer(train, validation, k).error_rate(k, weight, power)
 
 
 class KnnObjective:
-    """Tuning objective over variables named k, weight, and power."""
+    """Tuning objective over variables named k, weight, and power.
+
+    Evaluations share one scorer, and with it the neighbour lists of every
+    `power` evaluated so far: an evaluation whose exact `power` an earlier
+    one used, at any k and weight, skips the distances and the partition and
+    only counts votes. The lists hold the space's k upper bound of columns,
+    of which each evaluation reads its first k, and together never exceed
+    NEIGHBOUR_CACHE_BYTES. Values do not depend on what is kept: each equals
+    knn_error_rate on the same split bit for bit."""
 
     def __init__(self, space: SearchSpace, dataset: Dataset, spec: PartitionSpec | None = None):
         for name, kind in (("k", IntegerVariable), ("weight", CategoricalVariable), ("power", ContinuousVariable)):
@@ -149,11 +213,11 @@ class KnnObjective:
             raise SpaceMismatchError(f"knn variable 'power' needs a lower bound > 0, got {power_var.lo}")
         self.space = space
         self.split: Partition = partition(dataset, spec or PartitionSpec())
-        self._scorer = _Scorer(self.split.train, self.split.validation)
         if k_var.hi > len(self.split.train):
             raise ValueError(
                 f"k upper bound {k_var.hi} exceeds training rows {len(self.split.train)}"
             )
+        self._scorer = _Scorer(self.split.train, self.split.validation, k_var.hi)
 
     def __call__(self, p: Point, eval_id: int = 0) -> float:
         return self._scorer.error_rate(

@@ -89,6 +89,13 @@ def scalar_knn_error_rate(train: Dataset, validation: Dataset, k: int, weight: s
     return errors / len(validation)
 
 
+def stable_nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k columns of a stable argsort of the whole row, and
+    their distances."""
+    cols = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return cols, np.take_along_axis(dists, cols, axis=1)
+
+
 def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray):
     """Independent rebuild of the GP posterior with plain dense solves:
     mu = m + k*^T (K + jitter I)^-1 (y - m), var = k(x,x) - k*^T (...)^-1 k*."""

@@ -3,6 +3,7 @@ tolerance, and the run summary."""
 
 from __future__ import annotations
 
+import signal
 import sys
 import threading
 import time
@@ -401,16 +402,51 @@ def test_drains_evaluate_every_point_once_under_fast_thread_switching():
 @pytest.mark.parametrize("k", [1, 2])
 def test_keyboard_interrupt_in_objective_propagates_and_joins_the_pool(k):
     before = set(threading.enumerate())
+    for raise_at, batch in ((3, 5), (1, 20)):
+        calls = []
+
+        def objective(point: Point, eval_id: int) -> float:
+            calls.append(eval_id)
+            if eval_id == raise_at:
+                raise KeyboardInterrupt
+            time.sleep(0.01)  # the other drains are mid-point when the interrupt comes
+            return sphere_objective(point, eval_id)
+
+        manager = TuningManager(SPACE2)
+        manager.register_solver(RandomSearch(SPACE2, seed=7, batch=batch))
+        with pytest.raises(KeyboardInterrupt):
+            manager.run(objective, Budget(20, max_concurrency=k))
+        assert len(calls) <= raise_at + k  # the drains stop after their current point
+        assert set(threading.enumerate()) <= before  # no pool thread left alive
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+@pytest.mark.parametrize("k", [1, 2])
+def test_interrupt_while_waiting_for_the_drains_stops_the_batch(k):
+    if threading.current_thread() is not threading.main_thread():
+        pytest.skip("SIGINT is handled on the main thread")
+    before = set(threading.enumerate())
+    main = threading.get_ident()
+    calls, started_before_interrupt = [], []
 
     def objective(point: Point, eval_id: int) -> float:
-        if eval_id == 3:
-            raise KeyboardInterrupt
+        calls.append(eval_id)
+        if eval_id == 1:
+            time.sleep(0.1)  # every drain has been submitted, and the caller waits on them
+            started_before_interrupt.append(len(calls))
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.01)
         return sphere_objective(point, eval_id)
 
-    manager = TuningManager(SPACE2)
-    manager.register_solver(RandomSearch(SPACE2, seed=7, batch=5))
-    with pytest.raises(KeyboardInterrupt):
-        manager.run(objective, Budget(20, max_concurrency=k))
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        manager = TuningManager(SPACE2)
+        manager.register_solver(RandomSearch(SPACE2, seed=7, batch=20))
+        with pytest.raises(KeyboardInterrupt):
+            manager.run(objective, Budget(20, max_concurrency=k))
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert len(calls) <= started_before_interrupt[0] + k  # the drains stop after their current point
     assert set(threading.enumerate()) <= before  # no pool thread left alive
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import scalar_knn_error_rate
+import tunekit.objectives.knn as knn_module
+from helpers import scalar_knn_error_rate, stable_nearest
 from tunekit.objectives import (
     BRANIN_MINIMUM,
     BRANIN_SPACE,
@@ -33,7 +34,7 @@ from tunekit.objectives import (
     make_blobs,
     partition,
 )
-from tunekit.objectives.knn import minkowski_distances
+from tunekit.objectives.knn import _nearest, minkowski_distances
 from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from tunekit.trials import EvaluationFailed
 
@@ -242,19 +243,94 @@ def test_minkowski_distances_equal_the_summed_tensor(features):
         assert np.array_equal(minkowski_distances(a, b, power), expected)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nearest_equals_a_stable_argsort(seed):
+    rng = np.random.default_rng(seed)
+    n_cols = 12
+    tie_heavy = rng.integers(0, 4, (6, n_cols))
+    distinct = np.array([rng.permutation(n_cols) for _ in range(6)])
+    dists = rng.permutation(np.vstack([tie_heavy, distinct])).astype(float)
+    mixed = 0  # values of k at which crowded and uncrowded rows meet in one call
+    for k in range(1, n_cols + 1):
+        kth = np.sort(dists, axis=1)[:, k - 1 : k]
+        crowded = np.count_nonzero(dists <= kth, axis=1) > k
+        mixed += bool(crowded.any() and not crowded.all())
+        cols, near = _nearest(dists, k)
+        expected_cols, expected_near = stable_nearest(dists, k)
+        assert np.array_equal(cols, expected_cols)
+        assert np.array_equal(near, expected_near)
+    assert mixed > 0
+
+
+def _knn_objective(kind: str) -> KnnObjective:
+    """A fresh objective on tie-heavy grid rows or on blobs."""
+    if kind == "grid":
+        dataset = _grid_dataset(np.random.default_rng(29), 60, 2, ["a", "b", "c"])
+    else:
+        dataset = make_blobs(n_rows=90, n_features=3, sigma=1.0, separation=1.5, seed=29)
+    return KnnObjective(default_knn_space(train_rows=40), dataset, PartitionSpec(seed=29))
+
+
+def _kept_bytes(objective: KnnObjective) -> int:
+    return sum(array.nbytes for entry in objective._scorer._kept.values() for array in entry)
+
+
+@pytest.mark.parametrize("kind", ["grid", "blobs"])
+def test_knn_objective_reuses_neighbour_lists_exactly(monkeypatch, kind):
+    objective = _knn_objective(kind)
+    k_hi = objective.space.variables[0].hi
+    train, validation = objective.split.train, objective.split.validation
+    points = [
+        Point([k, w, p]) for p in (2.0, 0.5, 2.0, 3.7, 0.5) for k in range(1, k_hi + 1) for w in ("uniform", "inverse")
+    ]
+    expected = {p.values: scalar_knn_error_rate(train, validation, *p.values) for p in points}
+    calls = []
+
+    def counted_distances(a, b, power):
+        calls.append(power)
+        return minkowski_distances(a, b, power)
+
+    monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    for order in (points, points[::-1]):
+        objective = _knn_objective(kind)
+        calls.clear()
+        assert [objective(p) for p in order] == [expected[p.values] for p in order]
+        assert sorted(calls) == [0.5, 2.0, 3.7]  # one per distinct power: nothing was evicted
+        assert _kept_bytes(objective) <= knn_module.NEIGHBOUR_CACHE_BYTES
+
+    # k above the space's bound (a point from outside the space) is computed, not kept
+    beyond = Point([k_hi + 5, "inverse", 2.0])
+    assert objective(beyond) == scalar_knn_error_rate(train, validation, *beyond.values)
+    assert all(array.shape[1] == k_hi for entry in objective._scorer._kept.values() for array in entry)
+
+    objective = _knn_objective(kind)
+    entry_bytes = 2 * len(validation) * k_hi * 8  # labels and distances, 8 bytes each
+    monkeypatch.setattr(knn_module, "NEIGHBOUR_CACHE_BYTES", 2 * entry_bytes)  # two of the three powers
+    calls.clear()
+    for p in points + points[::-1]:
+        assert objective(p) == expected[p.values]
+        assert _kept_bytes(objective) <= 2 * entry_bytes
+    assert len(objective._scorer._kept) == 2
+    assert len(calls) > 3  # evicted powers were computed again
+
+
 def test_knn_objective_shared_by_threads_matches_serial():
     dataset = make_blobs(n_rows=400, n_features=4, sigma=1.0, separation=1.5, seed=5)
-    objective = KnnObjective(default_knn_space(train_rows=280), dataset, PartitionSpec(seed=5))
+    space = default_knn_space(train_rows=280)
+    objective = KnnObjective(space, dataset, PartitionSpec(seed=5))
     points = [Point([k, w, p]) for k in (1, 4, 17, 31) for w in ("uniform", "inverse") for p in (0.7, 2.0, 3.1)]
     serial = [objective(p) for p in points]
+    fresh = KnnObjective(space, dataset, PartitionSpec(seed=5))  # workers race to fill the same entries
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            concurrent = [pool.map(objective, points, timeout=60) for _ in range(4)]
+            concurrent = [pool.map(fresh, points, timeout=60) for _ in range(4)]
             assert all(list(values) == serial for values in concurrent)
     finally:
         sys.setswitchinterval(interval)
+    assert sorted(fresh._scorer._kept) == [0.7, 2.0, 3.1]
+    assert fresh._scorer._kept_bytes == _kept_bytes(fresh)
 
 
 def test_knn_objective_point_mapping():

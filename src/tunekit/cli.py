@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, RunConfig, instantiate_solvers, load_run_config
-from .manager import Objective, TuningManager, check_param
+from .manager import Objective, TuningManager, check_keys, check_param
 from .objectives import build_objective
 from .schedsim import AllocationPlan, CostModel, best_allocation, fit_cost_model, makespan
 from .trials import TuningHistory, write_csv
@@ -187,18 +187,23 @@ def _write_summary_csv(path: Path, summary: dict[str, dict]) -> None:
     )
 
 
+_SCENARIO_KEYS = ("grid", "batch", "iterations", "model", "observations")
+_MODEL_KEYS = ("t_serial", "c_comm", "t_fixed")
+
+
 @main.command("simulate-allocation")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 def simulate_allocation(scenario_path: str) -> None:
     """Print makespan per workers-per-train for a grid/batch scenario."""
     try:
-        raw = json.loads(Path(scenario_path).read_text(encoding="utf-8"))
+        raw = check_keys("scenario", json.loads(Path(scenario_path).read_text(encoding="utf-8")), _SCENARIO_KEYS)
         grid, batch, iterations = raw["grid"], raw["batch"], raw.get("iterations", 1)
         for name, value in (("grid", grid), ("batch", batch), ("iterations", iterations)):
             check_param(name, value, integer=True, minimum=1)
         if "model" in raw:
-            params = [raw["model"][name] for name in ("t_serial", "c_comm", "t_fixed")]
-            for name, value in zip(("t_serial", "c_comm", "t_fixed"), params):
+            model_raw = check_keys("model", raw["model"], _MODEL_KEYS)
+            params = [model_raw[name] for name in _MODEL_KEYS]
+            for name, value in zip(_MODEL_KEYS, params):
                 check_param(f"model.{name}", value, integer=False, minimum=0)
             model = CostModel(*(float(v) for v in params))
             residual = None

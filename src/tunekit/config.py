@@ -14,6 +14,9 @@ A run config looks like:
       "seed": 7,
       "out": "runs/example"
     }
+
+Every JSON object of it takes only the keys shown (a variable only those of
+its type), and variable names are strings.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manager import check_param
+from .manager import check_keys, check_param
 from .solvers import SOLVERS, make_solver
 from .space import CategoricalVariable, ContinuousVariable, IntegerVariable, SearchSpace
 from .trials import Budget
@@ -53,18 +56,28 @@ class RunConfig:
     out_dir: Path | None
 
 
-def _json_object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
-    return value
+# The keys each JSON object of a run config takes.
+_CONFIG_KEYS = ("space", "objective", "budget", "solvers", "seed", "out")
+_BUDGET_KEYS = ("evaluations", "concurrency")
+_SOLVER_KEYS = ("type", "share", "label", "params")
+_VARIABLE_KEYS = {
+    "continuous": ("name", "type", "bounds"),
+    "integer": ("name", "type", "bounds"),
+    "categorical": ("name", "type", "levels"),
+}
 
 
 def build_space(entries: list[dict]) -> SearchSpace:
     variables = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         try:
-            name = entry["name"]
             kind = entry["type"]
+            if kind not in _VARIABLE_KEYS:
+                raise ConfigError(f"unknown variable type {kind!r} for {entry.get('name')!r}")
+            check_keys(f"space[{i}]", entry, _VARIABLE_KEYS[kind])
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise ConfigError(f"space[{i}].name must be a string, got {name!r}")
             if kind in ("continuous", "integer"):
                 lo, hi = entry["bounds"]
                 for bound in (lo, hi):
@@ -73,13 +86,11 @@ def build_space(entries: list[dict]) -> SearchSpace:
                 variables.append(ContinuousVariable(name, float(lo), float(hi)))
             elif kind == "integer":
                 variables.append(IntegerVariable(name, lo, hi))
-            elif kind == "categorical":
+            else:
                 levels = entry["levels"]
                 if not isinstance(levels, list) or not all(isinstance(level, str) for level in levels):
                     raise ConfigError(f"{name}.levels must be a JSON list of strings, got {levels!r}")
                 variables.append(CategoricalVariable(name, tuple(levels)))
-            else:
-                raise ConfigError(f"unknown variable type {kind!r} for {name!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -92,9 +103,10 @@ def build_space(entries: list[dict]) -> SearchSpace:
 
 def parse_run_config(raw: dict, *, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
     try:
+        raw = check_keys("config", raw, _CONFIG_KEYS)
         space = build_space(raw["space"])
         objective_spec = raw["objective"]
-        budget_raw = _json_object(raw.get("budget", {}), "budget")
+        budget_raw = check_keys("budget", raw.get("budget", {}), _BUDGET_KEYS)
         evaluations = budget_raw.get("evaluations", 100)
         concurrency = budget_raw.get("concurrency", 1)
         check_param("budget.evaluations", evaluations, integer=True, minimum=1)
@@ -105,7 +117,7 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             raise ConfigError("config needs at least one solver")
         setups = []
         for i, entry in enumerate(solver_entries):
-            _json_object(entry, f"solvers[{i}]")
+            entry = check_keys(f"solvers[{i}]", entry, _SOLVER_KEYS)
             solver_type = entry.get("type")
             if solver_type not in SOLVERS:
                 raise ConfigError(f"unknown solver type {solver_type!r}")
@@ -115,7 +127,9 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             label = entry.get("label", f"{solver_type}-{i}")
             if not isinstance(label, str):
                 raise ConfigError(f"solvers[{i}].label must be a string, got {label!r}")
-            params = _json_object(entry.get("params", {}), f"solvers[{i}].params")
+            params = entry.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError(f"solvers[{i}].params must be a JSON object, got {params!r}")
             setups.append(SolverSetup(type=solver_type, params=dict(params), share=share, label=label))
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         check_param("seed", seed, integer=True, minimum=0)

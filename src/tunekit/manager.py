@@ -5,22 +5,25 @@ Each iteration is one pass over the asked points. The manager collects asks
 from every live solver (round-robin, capped so the combined batch never
 exceeds the remaining budget). It validates each asked point, the only check
 of the points solvers hand in, encodes each ask in one call and keys each row
-once. Points whose key is neither cached nor already asked this iteration are
-new; each is owned by its first asker and gets an eval_id that follows the
-order of asking. The iteration hands at most K drain tasks to its K pool
-threads; each drain takes the next new point in eval_id order, evaluates it
-and stores its record in that point's slot, while the calling thread only
-waits, so no objective runs on it. The iteration's records, new and
-replayed from the cache, are sorted by eval_id once, and each solver is
-told the records of its own asks plus, if it was registered with sharing,
-every other record of the iteration. A tell holds each record once, in
-eval_id order, so the outcome is independent of completion order and
-therefore of K. Every record carries its point's key and encoded row.
+once. Points whose key is neither in the history nor already asked this
+iteration are new; each is owned by its first asker and gets an eval_id that
+follows the order of asking. The iteration hands at most K drain tasks to its
+K pool threads; each drain takes the next new point in eval_id order,
+evaluates it and stores its record in that point's slot, while the calling
+thread only waits, so no objective runs on it. The history appends the new
+records and indexes them by key; the iteration's records, new and replayed
+from that index, are sorted by eval_id once, and each solver is told the
+records of its own asks plus, if it was registered with sharing, every other
+record of the iteration. A tell holds each record once, in eval_id order, so
+the outcome is independent of completion order and therefore of K. Every
+record carries its point's key and encoded row.
 
-A solver whose ask, is_done or tell raises, or that asks for a point that is
-not valid in the space, is isolated (marked done) without aborting the run.
-Objective exceptions become failed records carrying the penalty sentinel;
-they consume budget like any real evaluation.
+Every solver call (is_done, ask with the encoding of its points, tell) is
+guarded: a solver whose call raises, or that asks for a point not valid in
+the space, is isolated (marked done) without aborting the run. Objective
+exceptions become failed records carrying the penalty sentinel; they consume
+budget like any real evaluation. A run that raises returns only after every
+pool thread has ended.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ Objective = Callable[[Point, int], float]
 
 # Consecutive zero-evaluation iterations tolerated before the run is declared
 # stalled (duplicate-only solvers never exhaust the budget on their own).
-DEFAULT_MAX_STALL_ITERATIONS = 50
+MAX_STALL_ITERATIONS = 50
 
 
 class Solver(ABC):
@@ -95,6 +98,17 @@ def check_param(name: str, value, *, integer: bool, minimum: float, strict: bool
         raise ValueError(f"{name} must be {what} {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
+def check_keys(field: str, value, allowed) -> dict:
+    """A copy of value; raise ValueError naming the field unless it is a JSON
+    object whose keys are all in allowed. Configs read every JSON object with it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ValueError(f"{field} has unknown key {key!r}; it takes {', '.join(allowed) or 'none'}")
+    return dict(value)
+
+
 @dataclass
 class _Registration:
     solver: Solver
@@ -112,16 +126,10 @@ class _Ask(NamedTuple):
 
 
 class TuningManager:
-    def __init__(
-        self,
-        space: SearchSpace,
-        *,
-        max_stall_iterations: int = DEFAULT_MAX_STALL_ITERATIONS,
-    ):
+    def __init__(self, space: SearchSpace):
         self.space = space
         self._registrations: list[_Registration] = []
         self._started = False
-        self._max_stall = max_stall_iterations
 
     def register_solver(self, solver: Solver, share_in: bool = True) -> str:
         if self._started:
@@ -138,71 +146,71 @@ class TuningManager:
             raise RuntimeError("manager instances drive a single run")
         self._started = True
 
-        cache: dict[CacheKey, TrialRecord] = {}  # workers never touch it
         history = TuningHistory(self.space, seed=seed)
+        cache = history.by_key  # close_iteration fills it; workers never touch it
         iteration = 0
         stall = 0
 
-        with ThreadPoolExecutor(max_workers=budget.max_concurrency) as pool:
-            while history.evaluations < budget.max_evaluations:
-                live = [r for r in self._registrations if not r.done and not self._is_done(r)]
-                if not live:
-                    break
-                iteration += 1
+        threads = f"tunekit-{id(self):x}"  # the prefix of the pool's thread names
+        try:
+            with ThreadPoolExecutor(budget.max_concurrency, thread_name_prefix=threads) as pool:
+                while history.evaluations < budget.max_evaluations:
+                    live = [r for r in self._registrations if not r.done]
+                    live = [r for r in live if not self._guarded(r, "is_done", r.solver.is_done, failed=True)]
+                    if not live:
+                        break
+                    iteration += 1
 
-                asks = self._collect_asks(live, iteration, budget.max_evaluations - history.evaluations)
-                if not asks:
-                    break  # every live solver declined to ask; nothing can progress
-                history.points_asked += len(asks)
+                    asks = self._collect_asks(live, iteration, budget.max_evaluations - history.evaluations)
+                    if not asks:
+                        break  # every live solver declined to ask; nothing can progress
 
-                new: dict[CacheKey, _Ask] = {}
-                for ask in asks:
-                    if ask.key not in cache and ask.key not in new:
-                        new[ask.key] = ask  # owned by its first asker
-                fresh = self._evaluate(
-                    pool, budget.max_concurrency, objective, new.values(), iteration, history.evaluations
-                )
-                history.records.extend(fresh)
-                cache.update((rec.key, rec) for rec in fresh)
-                history.close_iteration(iteration)
+                    new: dict[CacheKey, _Ask] = {}
+                    for ask in asks:
+                        if ask.key not in cache and ask.key not in new:
+                            new[ask.key] = ask  # owned by its first asker
+                    fresh = self._evaluate(
+                        pool, budget.max_concurrency, objective, new.values(), iteration, history.evaluations
+                    )
+                    history.close_iteration(len(asks), fresh)
 
-                stall = stall + 1 if not fresh else 0
-                batch = sorted({ask.key: cache[ask.key] for ask in asks}.values(), key=lambda r: r.eval_id)
-                self._broadcast(live, asks, batch)
-                if stall >= self._max_stall:
-                    logger.warning("run stalled: %d iterations without a new evaluation", stall)
-                    break
+                    stall = stall + 1 if not fresh else 0
+                    batch = sorted({ask.key: cache[ask.key] for ask in asks}.values(), key=lambda r: r.eval_id)
+                    self._broadcast(live, asks, batch)
+                    if stall >= MAX_STALL_ITERATIONS:
+                        logger.warning("run stalled: %d iterations without a new evaluation", stall)
+                        break
+        finally:  # the pool joins only the threads whose start returned, not one an interrupt cut short
+            for thread in threading.enumerate():
+                if thread.name.startswith(f"{threads}_") and thread.is_alive():
+                    thread.join()
         return history
 
     # -- iteration phases -------------------------------------------------
 
-    def _is_done(self, reg: _Registration) -> bool:
+    def _guarded(self, reg: _Registration, phase: str, call: Callable, *args, failed=None):
+        """call(*args), one phase of the solver's protocol; a call that raises
+        isolates the solver (marks it done) and returns `failed`."""
         try:
-            return reg.solver.is_done()
+            return call(*args)
         except Exception:
-            logger.exception("solver %s is_done raised; isolating it", reg.solver.solver_id)
+            logger.exception("solver %s %s raised; isolating it", reg.solver.solver_id, phase)
             reg.done = True
-            return True
+            return failed
+
+    def _asks_of(self, reg: _Registration, capacity: int) -> list[_Ask]:
+        points = list(reg.solver.ask(capacity))[:capacity]
+        rows = encode_points(self.space, points)  # validates each point
+        return [_Ask(reg, point, row, row_key(row)) for point, row in zip(points, rows)]
 
     def _collect_asks(self, live: list[_Registration], iteration: int, remaining: int) -> list[_Ask]:
         asks: list[_Ask] = []
-        capacity = remaining
         start = (iteration - 1) % len(live)
         for offset in range(len(live)):
             reg = live[(start + offset) % len(live)]
-            if capacity <= 0:
+            if len(asks) >= remaining:
                 break
-            try:
-                points = list(reg.solver.ask(capacity))[:capacity]
-                rows = encode_points(self.space, points)  # validates each point
-            except Exception:
-                logger.exception(
-                    "solver %s ask raised or asked an invalid point; isolating it", reg.solver.solver_id
-                )
-                reg.done = True
-                continue
-            asks += [_Ask(reg, point, row, row_key(row)) for point, row in zip(points, rows)]
-            capacity -= len(points)
+            asks += self._guarded(reg, "ask", self._asks_of, reg, remaining - len(asks), failed=[])
         return asks
 
     def _evaluate(
@@ -291,10 +299,5 @@ class TuningManager:
             else:
                 own = {ask.key for ask in asks if ask.reg is reg}
                 records = [r for r in batch if r.key in own]
-            if not records:
-                continue
-            try:
-                reg.solver.tell(records)
-            except Exception:
-                logger.exception("solver %s tell raised; isolating it", reg.solver.solver_id)
-                reg.done = True
+            if records:
+                self._guarded(reg, "tell", reg.solver.tell, records)

@@ -3,7 +3,7 @@ validation partition, CSV ingestion, and the external-process adapter."""
 
 from __future__ import annotations
 
-from ..manager import check_param
+from ..manager import check_keys, check_param
 from ..space import SearchSpace
 from .data import Dataset, DatasetError, Partition, PartitionSpec, load_csv, make_blobs, partition
 from .external import ExternalObjective
@@ -14,7 +14,6 @@ from .functions import (
     BuiltinObjective,
     SpaceMismatchError,
     branin,
-    check_keys,
     mixed_synthetic,
     rastrigin,
     rosenbrock,
@@ -76,11 +75,16 @@ def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
         body = check_keys("objective.knn", body, ("dataset", "validation_fraction", "partition_seed", "stratified"))
         dataset_ref = check_keys("knn.dataset", body.get("dataset"), ("csv", "label", "blobs"))
         if "csv" in dataset_ref:
+            dataset_ref = check_keys("knn.dataset", dataset_ref, ("csv", "label"))
             for name in ("csv", "label"):
                 if not isinstance(dataset_ref.get(name), str):
                     raise ValueError(f"knn.dataset.{name} must be a string, got {dataset_ref.get(name)!r}")
-            dataset = load_csv(dataset_ref["csv"], dataset_ref["label"])
+            try:
+                dataset = load_csv(dataset_ref["csv"], dataset_ref["label"])
+            except OSError as exc:
+                raise ValueError(f"knn.dataset.csv cannot be read: {exc}") from None
         elif "blobs" in dataset_ref:
+            dataset_ref = check_keys("knn.dataset", dataset_ref, ("blobs",))
             blob_args = check_keys("knn.dataset.blobs", dataset_ref["blobs"], tuple(_BLOB_PARAMS))
             blob_args.setdefault("seed", seed)
             for name, value in blob_args.items():
@@ -101,10 +105,5 @@ def build_objective(spec: dict, space: SearchSpace, seed: int = 0):
         return KnnObjective(space, dataset, PartitionSpec(fraction, partition_seed, stratified))
     if kind == "external":
         body = check_keys("objective.external", body, ("command", "timeout_ms"))
-        command, timeout_ms = body.get("command"), body.get("timeout_ms", 10_000)
-        words = command.split() if isinstance(command, str) else command
-        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words) and words[0]):
-            raise ValueError(f"external.command must be a nonempty string or list of strings, got {command!r}")
-        check_param("external.timeout_ms", timeout_ms, integer=True, minimum=0, strict=True)
-        return ExternalObjective(space, command, timeout_ms)
+        return ExternalObjective(space, body.get("command"), body.get("timeout_ms", 10_000))
     raise ValueError(f"unknown objective kind {kind!r}")

@@ -19,16 +19,27 @@ import shlex
 import signal
 import subprocess
 
+from ..manager import check_param
 from ..space import Point, SearchSpace
 from ..trials import EvaluationFailed
 
 
 class ExternalObjective:
+    """Runs `command`, a command line split as a POSIX shell splits it or a
+    list of arguments. A command that splits into no words or an empty first
+    word, and a timeout_ms that is not an integer > 0, raise ValueError naming
+    the config field."""
+
     def __init__(self, space: SearchSpace, command: str | list[str], timeout_ms: int):
-        if timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+        check_param("external.timeout_ms", timeout_ms, integer=True, minimum=0, strict=True)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else command
+        except ValueError as exc:  # an unterminated quote or a trailing backslash
+            raise ValueError(f"external.command cannot be split: {exc}") from None
+        if not (isinstance(argv, list) and argv and all(isinstance(w, str) for w in argv) and argv[0]):
+            raise ValueError(f"external.command must be a nonempty string or list of strings, got {command!r}")
         self.space = space
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self.argv = list(argv)
         self.timeout_ms = timeout_ms
 
     def __call__(self, p: Point, eval_id: int = 0) -> float:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..manager import check_param
+from ..manager import check_keys, check_param
 from ..space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from ..trials import EvaluationFailed
 
@@ -26,17 +26,6 @@ BUILTIN_PARAMS = {
     "noisy": ("base", "base_params", "sigma"),
     "cliff": ("base", "base_params", "fail_var", "fail_above"),
 }
-
-
-def check_keys(field: str, value, allowed) -> dict:
-    """A copy of value; raise ValueError naming the field unless it is a JSON
-    object whose keys are all in allowed."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a JSON object, got {value!r}")
-    for key in value:
-        if key not in allowed:
-            raise ValueError(f"{field} has unknown key {key!r}; it takes {', '.join(allowed) or 'none'}")
-    return dict(value)
 
 
 def _numeric_values(space: SearchSpace, p: Point) -> np.ndarray:

@@ -112,20 +112,17 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 @dataclass
 class TuningHistory:
-    """Ordered log of unique evaluated points plus per-iteration bests.
-
-    records is append-only: close_iteration folds only the records added since
-    its last call into a running best. points_asked counts every point the
-    solvers asked for, duplicates included; every other count is derived from
-    records."""
+    """Ordered log of unique evaluated points, the one record of a run's
+    finished evaluations. close_iteration appends each iteration's new
+    records and indexes them by key in by_key, the manager's cache.
+    points_asked counts every point the solvers asked for, duplicates
+    included; every other count is derived from records."""
 
     space: SearchSpace
     records: list[TrialRecord] = field(default_factory=list)
-    best_by_iteration: list[tuple[int, float]] = field(default_factory=list)
     points_asked: int = 0
     seed: int = 0
-    _best_objective: float = field(default=math.inf, init=False, repr=False, compare=False)
-    _folded: int = field(default=0, init=False, repr=False, compare=False)
+    by_key: dict[CacheKey, TrialRecord] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def evaluations(self) -> int:
@@ -145,13 +142,11 @@ class TuningHistory:
                 best = rec
         return best
 
-    def close_iteration(self, iteration: int) -> None:
-        for rec in self.records[self._folded :]:
-            if rec.ok and rec.objective < self._best_objective:
-                self._best_objective = rec.objective
-        self._folded = len(self.records)
-        if math.isfinite(self._best_objective):
-            self.best_by_iteration.append((iteration, self._best_objective))
+    def close_iteration(self, asked: int, fresh: Sequence[TrialRecord]) -> None:
+        """Append one iteration's new records (in eval_id order), index them by key and count its asks."""
+        self.points_asked += asked
+        self.records.extend(fresh)
+        self.by_key.update((rec.key, rec) for rec in fresh)
 
     def status_counts(self) -> dict[str, int]:
         counts = {STATUS_OK: 0, STATUS_FAIL: 0}

@@ -372,6 +372,23 @@ class RecordingSolver(Solver):
         return self._inner.is_done()
 
 
+def assert_convergence_matches_rescan(history) -> list[tuple[int, float]]:
+    """Assert that history.convergence_rows() equals a from-scratch rescan (for
+    each record in eval_id order, once an ok record exists, the least ok
+    objective up to it) and never increases; return the rows."""
+    ordered = sorted(history.records, key=lambda r: r.eval_id)
+    rescan = []
+    for i, rec in enumerate(ordered):
+        ok = [r.objective for r in ordered[: i + 1] if r.ok]
+        if ok:
+            rescan.append((rec.eval_id, min(ok)))
+    rows = history.convergence_rows()
+    assert rows == rescan
+    bests = [best for _, best in rows]
+    assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
+    return rows
+
+
 def counted(fn):
     """Wrap an objective callable with an invocation counter."""
     calls: list[int] = []

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tunekit.manager as manager_module
 from helpers import RecordingSolver, counted, dense_posterior_oracle
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
@@ -153,7 +154,7 @@ def test_criterion_03_lhs_stratification_exhaustive():
         assert violations == 0
 
 
-def test_criterion_04_dedup_zero_duplicate_calls():
+def test_criterion_04_dedup_zero_duplicate_calls(monkeypatch):
     with _Criterion(4, "duplicate-heavy GA performs no duplicate calls", 5.0):
         space = SearchSpace(
             [IntegerVariable("k", 0, 4), CategoricalVariable("c", ("a", "b", "c"))]
@@ -163,7 +164,8 @@ def test_criterion_04_dedup_zero_duplicate_calls():
             return float(point.values[0]) + 2.0 * ("a", "b", "c").index(point.values[1])
 
         config = HybridConfig(population=8, centers=2, mutation_prob=0.0)
-        manager = TuningManager(space, max_stall_iterations=10)
+        monkeypatch.setattr(manager_module, "MAX_STALL_ITERATIONS", 10)
+        manager = TuningManager(space)
         manager.register_solver(HybridSearch(space, seed=3, config=config))
         objective = counted(mixed)
         history = manager.run(objective, Budget(100))

@@ -143,6 +143,18 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
         ({"budget": [10]}, "budget"),
         ({"solvers": [{"type": "random", "params": [["batch", 4]]}]}, "solvers[0].params"),
         ({"space": [{"name": "k", "type": "integer", "bounds": [0, 2**60]}]}, "k.bounds"),
+        ({"budget": {"evaluation": 7}}, "budget has unknown key 'evaluation'"),
+        ({"solvers": [{"type": "random", "parms": {"batch": 4}}]}, "solvers[0] has unknown key 'parms'"),
+        ({"sed": 4}, "config has unknown key 'sed'"),
+        (
+            {"space": [{"name": "x", "type": "continuous", "bounds": [0, 1], "levels": ["a"]}]},
+            "space[0] has unknown key 'levels'",
+        ),
+        (
+            {"space": [{"name": "c", "type": "categorical", "levels": ["a"], "bounds": [0, 1]}]},
+            "space[0] has unknown key 'bounds'",
+        ),
+        ({"space": [{"name": 5, "type": "continuous", "bounds": [0, 1]}]}, "space[0].name"),
     ],
 )
 def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -223,6 +235,7 @@ KNN_SPACE = [
     {"name": "power", "type": "continuous", "bounds": [0.5, 4.0]},
 ]
 BLOBS = {"dataset": {"blobs": {"n_rows": 40, "seed": 1}}}
+ABSENT_CSV = {"csv": "absent-dataset.csv", "label": "y"}
 
 
 def knn_space(i: int, **changes) -> list[dict]:
@@ -267,6 +280,13 @@ def knn_objective(blobs: dict | None = None, **fields) -> dict:
         ({"space": KNN_SPACE, "objective": knn_objective(partition_seed="x")}, "knn.partition_seed"),
         ({"space": KNN_SPACE, "objective": knn_objective(stratified="no")}, "knn.stratified"),
         ({"space": KNN_SPACE, "objective": {"knn": {"dataset": {"csv": "data.csv"}}}}, "knn.dataset.label"),
+        ({"objective": {"external": {"command": "''"}}}, "external.command"),
+        ({"objective": {"external": {"command": "python 'x"}}}, "external.command"),
+        ({"space": KNN_SPACE, "objective": {"knn": {"dataset": ABSENT_CSV}}}, "knn.dataset.csv"),
+        (
+            {"space": KNN_SPACE, "objective": {"knn": {"dataset": {**ABSENT_CSV, **BLOBS["dataset"]}}}},
+            "knn.dataset has unknown key 'blobs'",
+        ),
     ],
 )
 def test_tune_bad_objective_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -456,6 +476,8 @@ def test_simulate_allocation_grid_one(tmp_path: Path):
         ({"model": {"t_serial": float("nan"), "c_comm": 0, "t_fixed": 1}}, "model.t_serial"),
         ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": float("inf")}}, "model.t_fixed"),
         ({"observations": [[1, 65.0], ["2", 34.0], [4, 20.0]]}, "observations workers"),
+        ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": 1}, "seed": 1}, "scenario has unknown key 'seed'"),
+        ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": 1, "t_seral": 5}}, "model has unknown key 't_seral'"),
     ],
 )
 def test_simulate_allocation_bad_field_exit_1(tmp_path: Path, overrides, field):

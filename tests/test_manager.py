@@ -14,7 +14,7 @@ import pytest
 
 import tunekit.manager as manager_module
 import tunekit.space as space_module
-from helpers import RecordingSolver, ScriptedSolver, counted
+from helpers import RecordingSolver, ScriptedSolver, assert_convergence_matches_rescan, counted
 from tunekit.cache import canonical_key
 from tunekit.cli import _run_once
 from tunekit.config import instantiate_solvers, load_run_config
@@ -37,6 +37,17 @@ class ThrowingSolver(Solver):
 
     def tell(self, records) -> None:
         pass
+
+
+class IsDoneRaisingSolver(ScriptedSolver):
+    def is_done(self) -> bool:
+        raise RuntimeError("boom")
+
+
+class TellRaisingSolver(ScriptedSolver):
+    def tell(self, records) -> None:
+        super().tell(records)
+        raise RuntimeError("boom")
 
 
 # -- registration ---------------------------------------------------------------
@@ -132,22 +143,25 @@ def test_objective_failures_become_penalty_records():
 
 
 @pytest.mark.parametrize(
-    "make_bad",
+    "make_bad, bad_records",
     [
-        ThrowingSolver,
-        lambda: ScriptedSolver([[Point([0.1])]]),  # wrong arity
-        lambda: ScriptedSolver([[Point([9.0, 0.0])]]),  # out of bounds
+        (ThrowingSolver, 0),
+        (lambda: ScriptedSolver([[Point([0.1])]]), 0),  # wrong arity
+        (lambda: ScriptedSolver([[Point([9.0, 0.0])]]), 0),  # out of bounds
+        (lambda: IsDoneRaisingSolver([[Point([0.1, 0.2])]]), 0),  # isolated before it asks
+        (lambda: TellRaisingSolver([[Point([0.1, 0.2])], [Point([0.3, 0.4])]]), 1),  # never asked again
     ],
-    ids=["ask-raises", "wrong-arity", "out-of-bounds"],
+    ids=["ask-raises", "wrong-arity", "out-of-bounds", "is_done-raises", "tell-raises"],
 )
-def test_throwing_solver_is_isolated_not_fatal(make_bad):
+def test_throwing_solver_is_isolated_not_fatal(make_bad, bad_records):
     manager = TuningManager(SPACE2)
-    manager.register_solver(make_bad())
+    bad = manager.register_solver(make_bad())
     survivor = manager.register_solver(RandomSearch(SPACE2, seed=5))
     objective = counted(sphere_objective)
     history = manager.run(objective, Budget(30))
-    assert len(history.records) == 30  # survivor consumed the whole budget
-    assert {r.solver_id for r in history.records} == {survivor}
+    assert len(history.records) == 30  # survivor consumed the rest of the budget
+    assert [r.iteration for r in history.records if r.solver_id == bad] == [1] * bad_records
+    assert {r.solver_id for r in history.records} - {bad} == {survivor}
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -420,6 +434,42 @@ def test_keyboard_interrupt_in_objective_propagates_and_joins_the_pool(k):
         assert set(threading.enumerate()) <= before  # no pool thread left alive
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_interrupt_while_the_pool_starts_a_thread_joins_that_thread(monkeypatch, k):
+    # An interrupt that reaches `pool.submit` after the new thread started but
+    # before the pool listed it leaves a thread that leaving the pool does not
+    # join; `run` must still return only once that thread has ended.
+    before = set(threading.enumerate())
+    callers: list[threading.Thread] = []
+    started: list[threading.Thread] = []
+
+    def objective(point: Point, eval_id: int) -> float:
+        callers.append(threading.current_thread())
+        last = len(started) == k and callers[-1] is started[-1]
+        time.sleep(0.2 if last else 0.01)  # the last thread outlasts every other one
+        return sphere_objective(point, eval_id)
+
+    start = threading.Thread.start
+
+    def start_then_interrupt(thread: threading.Thread) -> None:
+        started.append(thread)
+        start(thread)
+        if len(started) == k:  # the pool's last thread
+            deadline = time.monotonic() + 5.0
+            while thread not in callers and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+    manager = TuningManager(SPACE2)
+    manager.register_solver(RandomSearch(SPACE2, seed=7, batch=20))
+    with pytest.raises(KeyboardInterrupt):
+        manager.run(objective, Budget(20, max_concurrency=k))
+    assert started[-1] in callers  # the interrupt came while that thread evaluated
+    assert set(threading.enumerate()) <= before  # no pool thread left alive
+    assert len(callers) <= k + 1
+
+
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
 @pytest.mark.parametrize("k", [1, 2])
 def test_interrupt_while_waiting_for_the_drains_stops_the_batch(k):
@@ -453,10 +503,9 @@ def test_interrupt_while_waiting_for_the_drains_stops_the_batch(k):
 # -- history / summary ---------------------------------------------------------------------
 
 
-def test_history_best_by_iteration_non_increasing():
+def test_history_convergence_non_increasing():
     history = _run_hybrid(1)
-    bests = [b for _, b in history.best_by_iteration]
-    assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
+    assert len(assert_convergence_matches_rescan(history)) == history.evaluations
 
 
 def test_report_mixed_statuses():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import tunekit.manager as manager_module
 from helpers import counted
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
@@ -139,9 +140,10 @@ def test_foreign_records_tolerated(solver_type):
 
 
 @pytest.mark.parametrize("solver_type", SOLVERS)
-def test_mixed_space_end_to_end(solver_type):
+def test_mixed_space_end_to_end(solver_type, monkeypatch):
     solver = make_solver(solver_type, MIXED, seed=11, params=_params(solver_type))
-    manager = TuningManager(MIXED, max_stall_iterations=5)
+    monkeypatch.setattr(manager_module, "MAX_STALL_ITERATIONS", 5)
+    manager = TuningManager(MIXED)
     manager.register_solver(solver)
     objective = counted(_objective)
     history = manager.run(objective, Budget(30, max_concurrency=2))

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from helpers import assert_convergence_matches_rescan
 from tunekit.cache import canonical_key
 from tunekit.space import ContinuousVariable, Point, SearchSpace, encode
 from tunekit.manager import TuningManager
@@ -141,7 +142,7 @@ def test_best_record_ties_go_to_earliest():
     assert history.best_record().eval_id == 1
 
 
-def test_running_best_by_iteration_matches_rescan_with_failures():
+def test_convergence_rows_match_rescan_with_failures():
     def objective(p: Point, eval_id: int) -> float:
         if eval_id <= 4 or eval_id % 3 == 0:
             raise EvaluationFailed("boom")
@@ -151,12 +152,6 @@ def test_running_best_by_iteration_matches_rescan_with_failures():
     manager.register_solver(RandomSearch(SPACE, seed=2, batch=4))
     history = manager.run(objective, Budget(60))
     assert history.status_counts()["fail"] > 0
-    iterations = sorted({r.iteration for r in history.records})
-    expected = []
-    for it in iterations:
-        ok = [r.objective for r in history.records if r.ok and r.iteration <= it]
-        if ok:
-            expected.append((it, min(ok)))
-    assert iterations[0] not in [it for it, _ in expected]  # the first batch only failed
-    assert history.best_by_iteration == expected
-    assert history.best_by_iteration[-1][1] == history.best_record().objective
+    rows = assert_convergence_matches_rescan(history)
+    assert rows[0][0] == 5  # the first batch only failed
+    assert rows[-1] == (60, history.best_record().objective)

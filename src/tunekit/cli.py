@@ -200,6 +200,8 @@ def simulate_allocation(scenario_path: str) -> None:
         grid, batch, iterations = raw["grid"], raw["batch"], raw.get("iterations", 1)
         for name, value in (("grid", grid), ("batch", batch), ("iterations", iterations)):
             check_param(name, value, integer=True, minimum=1)
+        if "model" in raw and "observations" in raw:
+            raise ValueError("scenario gives both 'model' and 'observations'; give one of them")
         if "model" in raw:
             model_raw = check_keys("model", raw["model"], _MODEL_KEYS)
             params = [model_raw[name] for name in _MODEL_KEYS]

@@ -133,6 +133,10 @@ def parse_run_config(raw: dict, *, out_override: str | None = None, seed_overrid
             setups.append(SolverSetup(type=solver_type, params=dict(params), share=share, label=label))
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         check_param("seed", seed, integer=True, minimum=0)
+        labels = [setup.label for setup in setups]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"solver label {label!r} names more than one solver")
         out = out_override if out_override is not None else raw.get("out")
         return RunConfig(
             space=space,

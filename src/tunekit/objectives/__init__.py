@@ -19,7 +19,7 @@ from .functions import (
     rosenbrock,
     sphere,
 )
-from .knn import KnnObjective, default_knn_space, knn_error_rate
+from .knn import KnnObjective, default_knn_space
 
 __all__ = [
     "BRANIN_MINIMUM",
@@ -36,7 +36,6 @@ __all__ = [
     "branin",
     "build_objective",
     "default_knn_space",
-    "knn_error_rate",
     "load_csv",
     "make_blobs",
     "mixed_synthetic",

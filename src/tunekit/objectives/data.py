@@ -34,12 +34,6 @@ class Dataset:
     def subset(self, indices: list[int]) -> "Dataset":
         return Dataset(self.features[indices], [self.labels[i] for i in indices], self.columns)
 
-    def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for label in self.labels:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
 
 def load_csv(path: str | Path, label_column: str) -> Dataset:
     """Parse a headered CSV into numeric features plus a string label column."""

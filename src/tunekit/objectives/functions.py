@@ -88,6 +88,10 @@ MIXED_SYNTHETIC_SPACE = SearchSpace(
 )
 
 
+# Builtins evaluated on the point's numeric values, in variable order.
+_NUMERIC = {"sphere": sphere, "rastrigin": rastrigin, "rosenbrock": rosenbrock, "branin": branin}
+
+
 class BuiltinObjective:
     """Callable (point, eval_id) -> value for a named analytic function.
 
@@ -99,33 +103,38 @@ class BuiltinObjective:
     def __init__(self, name: str, space: SearchSpace, params: dict | None = None, seed: int = 0):
         self.name = name
         self.space = space
-        self.params = {} if params is None else params
         self.seed = seed
-        self._check_space()
-
-    def _check_space(self) -> None:
-        name, space = self.name, self.space
         if not isinstance(name, str) or name not in BUILTIN_PARAMS:
             raise SpaceMismatchError(f"unknown builtin objective {name!r}")
-        self.params = check_keys(f"{name} params", self.params, BUILTIN_PARAMS[name])
-        if name in ("sphere", "rastrigin", "rosenbrock"):
-            if space.categorical_indices:
+        params = self.params = check_keys(f"{name} params", {} if params is None else params, BUILTIN_PARAMS[name])
+        # Everything that depends on the name is decided here, once.
+        if name == "mixed_synthetic":
+            self._evaluate = lambda p, eval_id: mixed_synthetic(space, p)
+            return
+        if name in _NUMERIC:
+            if name == "branin":
+                if len(space.continuous_indices) != 2 or len(space.variables) != 2:
+                    raise SpaceMismatchError("branin needs exactly 2 continuous variables")
+            elif space.categorical_indices:
                 raise SpaceMismatchError(f"{name} needs a purely numeric space")
-            if name == "rosenbrock" and len(space.numeric_indices) < 2:
+            elif name == "rosenbrock" and len(space.numeric_indices) < 2:
                 raise SpaceMismatchError("rosenbrock needs at least 2 numeric variables")
-        elif name == "branin":
-            if len(space.continuous_indices) != 2 or len(space.variables) != 2:
-                raise SpaceMismatchError("branin needs exactly 2 continuous variables")
-        elif name == "noisy":
-            check_param("noisy.sigma", self.params.get("sigma", 0.1), integer=False, minimum=0)
-            self._base = BuiltinObjective(
-                self.params.get("base", "sphere"), space, self.params.get("base_params"), self.seed
-            )
-        elif name == "cliff":
-            self._base = BuiltinObjective(
-                self.params.get("base", "sphere"), space, self.params.get("base_params"), self.seed
-            )
-            fail_var = self.params.get("fail_var", 0)
+            fn = _NUMERIC[name]
+            self._evaluate = lambda p, eval_id: fn(_numeric_values(space, p))
+            return
+        if name == "noisy":
+            sigma = params.get("sigma", 0.1)
+            check_param("noisy.sigma", sigma, integer=False, minimum=0)
+        base = BuiltinObjective(params.get("base", "sphere"), space, params.get("base_params"), seed)
+        if name == "noisy":
+            sigma = float(sigma)
+
+            def evaluate(p: Point, eval_id: int) -> float:
+                rng = np.random.default_rng((seed, eval_id))
+                return base(p, eval_id) + sigma * float(rng.standard_normal())
+
+        else:
+            fail_var = params.get("fail_var", 0)
             if isinstance(fail_var, str):
                 if fail_var not in space.names:
                     raise SpaceMismatchError(f"cliff.fail_var {fail_var!r} names no variable of the space")
@@ -133,29 +142,15 @@ class BuiltinObjective:
             check_param("cliff.fail_var", fail_var, integer=True, minimum=0)
             if fail_var >= len(space.variables) or fail_var in space.categorical_indices:
                 raise SpaceMismatchError(f"cliff.fail_var {fail_var} is not a numeric variable of the space")
-            self._fail_idx = fail_var
-            check_param("cliff.fail_above", self.params.get("fail_above"), integer=False, minimum=-math.inf)
-            self._fail_above = float(self.params["fail_above"])
+            check_param("cliff.fail_above", params.get("fail_above"), integer=False, minimum=-math.inf)
+            fail_above = float(params["fail_above"])
+
+            def evaluate(p: Point, eval_id: int) -> float:
+                if float(p.values[fail_var]) > fail_above:
+                    raise EvaluationFailed("hidden_constraint")
+                return base(p, eval_id)
+
+        self._evaluate = evaluate
 
     def __call__(self, p: Point, eval_id: int = 0) -> float:
-        name = self.name
-        if name == "sphere":
-            return sphere(_numeric_values(self.space, p))
-        if name == "rastrigin":
-            return rastrigin(_numeric_values(self.space, p))
-        if name == "rosenbrock":
-            return rosenbrock(_numeric_values(self.space, p))
-        if name == "branin":
-            return branin(_numeric_values(self.space, p))
-        if name == "mixed_synthetic":
-            return mixed_synthetic(self.space, p)
-        if name == "noisy":
-            rng = np.random.default_rng((self.seed, eval_id))
-            return self._base(p, eval_id) + float(self.params.get("sigma", 0.1)) * float(
-                rng.standard_normal()
-            )
-        if name == "cliff":
-            if float(p.values[self._fail_idx]) > self._fail_above:
-                raise EvaluationFailed("hidden_constraint")
-            return self._base(p, eval_id)
-        raise AssertionError(name)
+        return self._evaluate(p, eval_id)

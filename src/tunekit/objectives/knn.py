@@ -142,6 +142,22 @@ class _Scorer:
         return entry
 
     def error_rate(self, k: int, weight: str, power: float) -> float:
+        """Misclassification rate of k-NN voting on the validation rows.
+
+        Ties: neighbours are ordered by Minkowski distance, equal distances by
+        training-row order (the earlier row is nearer); each neighbour votes 1
+        (uniform) or 1 / (distance + 1e-12) (inverse), added in neighbour
+        order; a tied vote goes to the label that sorts first. A validation
+        label that no training row has is always an error.
+
+        Cost: k-NN has no training step, so nothing is retrained between
+        calls; only the neighbour lists of a kept power carry over. A power
+        not kept computes all len(validation) * len(train) distances (one
+        power per feature per pair) and partitions each row of them for its
+        nearest; every call then adds k columns of votes. These are
+        whole-array numpy passes that release the GIL, so concurrent calls run
+        in parallel.
+        """
         n_train = len(self.train_y)
         if n_train == 0:
             raise EvaluationFailed("empty_training_partition")
@@ -163,31 +179,6 @@ class _Scorer:
         return errors / len(self.val_y)
 
 
-def knn_error_rate(
-    train: Dataset,
-    validation: Dataset,
-    k: int,
-    weight: str = "uniform",
-    power: float = 2.0,
-) -> float:
-    """Misclassification rate of k-NN voting on the validation rows.
-
-    Ties: neighbours are ordered by Minkowski distance, equal distances by
-    training-row order (the earlier row is nearer); each neighbour votes 1
-    (uniform) or 1 / (distance + 1e-12) (inverse), added in neighbour order;
-    a tied vote goes to the label that sorts first. A validation label that
-    no training row has is always an error.
-
-    Cost: k-NN has no training step, so nothing is retrained or carried over
-    between calls of this function (KnnObjective does carry neighbour lists
-    over). Each call computes all len(validation) * len(train) distances (one
-    power per feature per pair), partitions each row of them for its k
-    nearest, and adds k columns of votes, in whole-array numpy passes that
-    release the GIL, so concurrent calls run in parallel.
-    """
-    return _Scorer(train, validation, k).error_rate(k, weight, power)
-
-
 class KnnObjective:
     """Tuning objective over variables named k, weight, and power.
 
@@ -197,7 +188,8 @@ class KnnObjective:
     only counts votes. The lists hold the space's k upper bound of columns,
     of which each evaluation reads its first k, and together never exceed
     NEIGHBOUR_CACHE_BYTES. Values do not depend on what is kept: each equals
-    knn_error_rate on the same split bit for bit."""
+    the per-row scalar oracle `scalar_knn_error_rate` of tests/helpers.py on
+    the same split bit for bit."""
 
     def __init__(self, space: SearchSpace, dataset: Dataset, spec: PartitionSpec | None = None):
         for name, kind in (("k", IntegerVariable), ("weight", CategoricalVariable), ("power", ContinuousVariable)):

@@ -30,7 +30,7 @@ import numpy as np
 from ..cache import CacheKey, row_key
 from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_points
-from ..space import Point, SearchSpace, decode, encode_points, mixed_sqdist_matrix, snap_encoded
+from ..space import Point, SearchSpace, decode, mixed_sqdist_matrix, snap_encoded
 from ..trials import TrialRecord
 from .neldermead import nm_minimize_many
 
@@ -152,11 +152,6 @@ class GPModel:
         solved = self._solve(k_star.T)
         var = self.signal_var - np.einsum("ij,ji->i", k_star, solved)
         return mean, np.maximum(var, 0.0)
-
-    def posterior(self, p: Point | np.ndarray) -> tuple[float, float]:
-        x = encode_points(self.space, [p])[0] if isinstance(p, Point) else np.asarray(p, dtype=float)
-        mean, var = self.posterior_many(x[None, :])
-        return float(mean[0]), float(var[0])
 
 
 def fit_gp(space: SearchSpace, records: Sequence[TrialRecord], cap: int = 300) -> GPModel:

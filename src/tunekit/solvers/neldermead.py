@@ -3,9 +3,8 @@
 SimplexSearch is a resumable state machine: pending() lists the points whose
 values are needed next, advance() feeds them back. That single implementation
 is driven by nm_minimize_many(), which runs several searches in lockstep with
-one batched call per step (nm_minimize() is its one-start form, and Bayes
-refines its proposals with it), through the ask/tell contract by
-NelderMeadSolver, and per-rectangle by the DIRECT hybrid.
+one batched call per step (Bayes refines its proposals with it), through the
+ask/tell contract by NelderMeadSolver, and per-rectangle by the DIRECT hybrid.
 
 Candidates are clipped to [0, 1]^d before evaluation. A candidate that lands
 exactly on an existing vertex after clipping is not evaluated; it is treated
@@ -208,17 +207,6 @@ def nm_minimize_many(
             and not (searches[i].iterations > 0 and searches[i].value_spread() <= 0.0)
         ]
     return [(s.best_x, s.best_f, s.iterations) for s in searches]
-
-
-def nm_minimize(
-    fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    edge: float = 0.1,
-    max_iters: int = 200,
-) -> tuple[np.ndarray, float, int]:
-    """nm_minimize_many with one start, calling fn once per point; returns
-    (best_x, best_f, iterations)."""
-    return nm_minimize_many(lambda rows, _: [fn(x) for x in rows], [x0], edge, max_iters)[0]
 
 
 class NelderMeadSolver(Solver):

@@ -39,7 +39,7 @@ from tunekit.solvers import make_solver
 from tunekit.solvers.bayes import BayesSearch, fit_gp
 from tunekit.solvers.direct import DirectSearch, longest_axis, split_box
 from tunekit.solvers.hybrid import HybridConfig, HybridSearch
-from tunekit.solvers.neldermead import nm_minimize
+from tunekit.solvers.neldermead import nm_minimize_many
 from tunekit.solvers.samplers import RandomSearch
 from tunekit.space import (
     CategoricalVariable,
@@ -285,11 +285,10 @@ def test_criterion_09_nelder_mead_quadratics():
             a = q @ np.diag(rng.uniform(0.5, 3.0, d)) @ q.T
             target = rng.uniform(0.2, 0.8, d)
 
-            def fn(x: np.ndarray) -> float:
-                delta = x - target
-                return float(delta @ a @ delta)
+            def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+                return [float(delta @ a @ delta) for delta in rows - target]
 
-            _, best_f, iters = nm_minimize(fn, np.full(d, 0.5), edge=0.2, max_iters=500)
+            [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.full(d, 0.5)], edge=0.2, max_iters=500)
             assert best_f <= 1e-6 and iters <= 500, seed
 
 
@@ -334,8 +333,9 @@ def test_criterion_10_gp_oracle_equivalence():
             query = Point(
                 [float(rng.uniform(0, 1)), int(rng.integers(0, 7)), ("a", "b", "c")[rng.integers(0, 3)]]
             )
-            mu, var = model.posterior(query)
-            mu_o, var_o = dense_posterior_oracle(model, mixed, encode(mixed, query))
+            encoded = encode(mixed, query)
+            (mu,), (var,) = model.posterior_many(encoded[None])
+            mu_o, var_o = dense_posterior_oracle(model, mixed, encoded)
             assert abs(mu - mu_o) <= 1e-8 * (1 + abs(mu_o))
             assert abs(var - var_o) <= 1e-8 * (1 + abs(var_o))
             checked += 1
@@ -357,7 +357,7 @@ def test_criterion_10_gp_oracle_equivalence():
         ]
         model = fit_gp(unit, recs)
         for r in recs:
-            mu, _ = model.posterior(r.point)
+            (mu,), _ = model.posterior_many(encode(unit, r.point)[None])
             assert abs(mu - r.objective) <= 1e-3 * abs(r.objective) + 1e-6
 
         # far field reverts to the prior
@@ -376,7 +376,7 @@ def test_criterion_10_gp_oracle_equivalence():
             for i, (x, y) in enumerate(zip((0.0, 1.0), (5.0, 7.0)))
         ]
         model = fit_gp(wide, recs)
-        mu, var = model.posterior(Point([1000.0]))
+        (mu,), (var,) = model.posterior_many(encode(wide, Point([1000.0]))[None])
         assert mu == pytest.approx(model.prior_mean, rel=0.01)
         assert var == pytest.approx(model.signal_var, rel=0.01)
 

@@ -125,7 +125,7 @@ def test_interpolation_at_training_points():
     records = [rec(UNIT1, [x], y, i + 1) for i, (x, y) in enumerate(zip(xs, ys))]
     model = fit_gp(UNIT1, records)
     for r in records:
-        mu, _ = model.posterior(r.point)
+        (mu,), _ = model.posterior_many(encode(UNIT1, r.point)[None])
         assert abs(mu - r.objective) <= 1e-3 * abs(r.objective) + 1e-6
 
 
@@ -133,7 +133,7 @@ def test_far_field_reverts_to_prior():
     space = SearchSpace([ContinuousVariable("x", 0.0, 1000.0)])
     records = [rec(space, [0.0], 5.0, 1), rec(space, [1.0], 7.0, 2)]
     model = fit_gp(space, records)
-    mu, var = model.posterior(Point([1000.0]))  # ~1000 length scales away
+    (mu,), (var,) = model.posterior_many(encode(space, Point([1000.0]))[None])  # ~1000 length scales away
     assert mu == pytest.approx(model.prior_mean, rel=0.01)
     assert var == pytest.approx(model.signal_var, rel=0.01)
 
@@ -149,7 +149,7 @@ def test_two_point_symmetric_midpoint():
         signal_var=1.0,
         noise_var=1e-6,
     )
-    mu, var = model.posterior(Point([0.5]))
+    (mu,), (var,) = model.posterior_many(encode(UNIT1, Point([0.5]))[None])
     mu_oracle, var_oracle = dense_posterior_oracle(model, UNIT1, np.array([0.5]))
     assert abs(mu - mu_oracle) <= 1e-10
     assert abs(var - var_oracle) <= 1e-10
@@ -177,7 +177,7 @@ def test_posterior_matches_dense_oracle_100_cases():
             [float(rng.uniform(0, 1)), int(rng.integers(0, 7)), ("a", "b", "c")[rng.integers(0, 3)]]
         )
         query = encode(space, query_point)
-        mu, var = model.posterior(query_point)
+        (mu,), (var,) = model.posterior_many(query[None])
         mu_o, var_o = dense_posterior_oracle(model, space, query)
         assert abs(mu - mu_o) <= 1e-8 * (1 + abs(mu_o)), f"case {case}"
         assert abs(var - var_o) <= 1e-8 * (1 + abs(var_o)), f"case {case}"
@@ -217,7 +217,7 @@ def test_kappa_zero_minimizes_posterior_mean():
     rng = np.random.default_rng(1)
     proposals = propose(model, UNIT1, 1, kappa=0.0, rng=rng, seen=set(), restarts=2)
     assert len(proposals) == 1
-    mu_star, _ = model.posterior(proposals[0][0])
+    (mu_star,), _ = model.posterior_many(encode(UNIT1, proposals[0][0])[None])
     grid = np.linspace(0, 1, 513)[:, None]
     mean_grid, _ = model.posterior_many(grid)
     assert mu_star <= float(mean_grid.min()) + 1e-6
@@ -234,7 +234,7 @@ def test_huge_kappa_explores_far_from_data():
     # sigma dominates: the proposal sits many length scales from the cluster
     assert min(abs(x_star - r.point.values[0]) for r in records) >= 10 * model.length_scale
     # LCB at the proposal is at least as low as at every raw grid candidate
-    mu_star, var_star = model.posterior(proposals[0][0])
+    (mu_star,), (var_star,) = model.posterior_many(encode(space, proposals[0][0])[None])
     grid = np.linspace(0, 1, 257)[:, None]
     mu, var = model.posterior_many(grid)
     assert mu_star - kappa * math.sqrt(var_star) <= float(np.min(mu - kappa * np.sqrt(var))) + 1e-6

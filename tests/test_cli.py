@@ -155,6 +155,8 @@ def test_tune_bad_solver_param_value_exit_1_before_any_evaluation(tmp_path: Path
             "space[0] has unknown key 'bounds'",
         ),
         ({"space": [{"name": 5, "type": "continuous", "bounds": [0, 1]}]}, "space[0].name"),
+        ({"solvers": [{"type": "random", "label": "a"}, {"type": "lhs", "label": "a"}]}, "solver label 'a'"),
+        ({"solvers": [{"type": "lhs", "label": "random-1"}, {"type": "random"}]}, "solver label 'random-1'"),
     ],
 )
 def test_tune_bad_config_field_exit_1_before_any_evaluation(tmp_path: Path, overrides, field):
@@ -407,6 +409,19 @@ def test_bench_identical_solvers_identical_results(tmp_path: Path):
     assert by_label["r-one"] == by_label["r-two"]
 
 
+def test_bench_duplicate_solver_labels_exit_1(tmp_path: Path):
+    config = write_config(
+        tmp_path / "cfg.json",
+        solvers=[{"type": "random", "label": "a"}, {"type": "lhs", "label": "a"}],
+        budget={"evaluations": 10, "concurrency": 1},
+    )
+    out = tmp_path / "bench"
+    result = run_cli("bench", "--config", str(config), "--seeds", "2", "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert "solver label 'a' names more than one solver" in result.output
+    assert not out.exists()
+
+
 def test_bench_requires_two_solvers(tmp_path: Path):
     config = write_config(tmp_path / "cfg.json")
     result = run_cli("bench", "--config", str(config), "--seeds", "2")
@@ -478,6 +493,10 @@ def test_simulate_allocation_grid_one(tmp_path: Path):
         ({"observations": [[1, 65.0], ["2", 34.0], [4, 20.0]]}, "observations workers"),
         ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": 1}, "seed": 1}, "scenario has unknown key 'seed'"),
         ({"model": {"t_serial": 10, "c_comm": 0, "t_fixed": 1, "t_seral": 5}}, "model has unknown key 't_seral'"),
+        (
+            {"model": {"t_serial": 10, "c_comm": 0, "t_fixed": 1}, "observations": [[1, 65.0], [2, 34.0], [4, 20.0]]},
+            "scenario gives both 'model' and 'observations'",
+        ),
     ],
 )
 def test_simulate_allocation_bad_field_exit_1(tmp_path: Path, overrides, field):

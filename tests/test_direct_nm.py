@@ -20,7 +20,7 @@ from tunekit.solvers.direct import (
     pareto_select,
     split_box,
 )
-from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize, nm_minimize_many
+from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize_many
 from tunekit.space import CategoricalVariable, ContinuousVariable, Point, SearchSpace, encode
 from tunekit.trials import Budget, TrialRecord
 
@@ -201,10 +201,10 @@ def test_nm_monotone_descent_on_linear():
 def test_nm_converges_on_shifted_sphere():
     target = np.array([0.5, 0.5])
 
-    def fn(x: np.ndarray) -> float:
-        return float(np.sum((x - target) ** 2))
+    def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+        return [float(np.sum((x - target) ** 2)) for x in rows]
 
-    _, best_f, iters = nm_minimize(fn, np.array([0.2, 0.8]), edge=0.1, max_iters=200)
+    [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.array([0.2, 0.8])], edge=0.1, max_iters=200)
     assert best_f <= 1e-6
     assert iters <= 200
 
@@ -219,11 +219,10 @@ def test_nm_quadratic_convergence_across_seeds():
         a = q @ np.diag(eigs) @ q.T
         target = rng.uniform(0.2, 0.8, d)
 
-        def fn(x: np.ndarray) -> float:
-            delta = x - target
-            return float(delta @ a @ delta)
+        def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+            return [float(delta @ a @ delta) for delta in rows - target]
 
-        _, best_f, iters = nm_minimize(fn, np.full(d, 0.5), edge=0.2, max_iters=500)
+        [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.full(d, 0.5)], edge=0.2, max_iters=500)
         if best_f <= 1e-6 and iters <= 500:
             hits += 1
     assert hits == 10

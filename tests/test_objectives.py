@@ -8,6 +8,7 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,12 +30,11 @@ from tunekit.objectives import (
     SpaceMismatchError,
     build_objective,
     default_knn_space,
-    knn_error_rate,
     load_csv,
     make_blobs,
     partition,
 )
-from tunekit.objectives.knn import _nearest, minkowski_distances
+from tunekit.objectives.knn import _nearest, _Scorer, minkowski_distances
 from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
 from tunekit.trials import EvaluationFailed
 
@@ -104,6 +104,25 @@ def test_cliff_fails_inside_region():
     assert err.value.reason == "hidden_constraint"
 
 
+def test_builtin_values_pinned_bit_for_bit():
+    p = Point([1.2345, -2.3456])
+    assert BuiltinObjective("sphere", BOX2)(p) == 7.025829610000001
+    assert BuiltinObjective("rastrigin", BOX2)(p) == 31.705448636268606
+    assert BuiltinObjective("rosenbrock", BOX2)(p) == 1497.4278605395061
+    assert BuiltinObjective("branin", BRANIN_SPACE)(Point([2.5, 7.25])) == 21.856729216048514
+    assert BuiltinObjective("mixed_synthetic", MIXED_SYNTHETIC_SPACE)(Point([1.25, -0.75, 7, "b"])) == 11.625
+    cliff_params = {"base": "rosenbrock", "fail_var": "y", "fail_above": 3.0}
+    noisy = BuiltinObjective("noisy", BOX2, {"base": "cliff", "base_params": cliff_params, "sigma": 0.25}, seed=4)
+    assert noisy(p, eval_id=3) == 1497.331956799654
+    assert noisy(p, eval_id=8) == 1497.4255473477494
+    with pytest.raises(EvaluationFailed, match="hidden_constraint"):
+        noisy(Point([1.2345, 3.5]), eval_id=3)
+    cliff = BuiltinObjective("cliff", BOX2, {"base": "rastrigin", "fail_var": "y", "fail_above": -1.5})
+    assert cliff(p) == 31.705448636268606
+    with pytest.raises(EvaluationFailed, match="hidden_constraint"):
+        cliff(Point([1.2345, 0.5]))
+
+
 # -- partition ----------------------------------------------------------------------
 
 
@@ -117,7 +136,7 @@ def test_balanced_partition_counts():
     dataset = _labeled_dataset({"a": 50, "b": 50})
     split = partition(dataset, PartitionSpec(validation_fraction=0.3, seed=1))
     assert len(split.validation) == 30
-    assert split.validation.class_counts() == {"a": 15, "b": 15}
+    assert Counter(split.validation.labels) == {"a": 15, "b": 15}
     assert split.stratified
 
 
@@ -133,7 +152,7 @@ def test_largest_remainder_seven_three():
     dataset = _labeled_dataset({"a": 7, "b": 3})
     split = partition(dataset, PartitionSpec(validation_fraction=0.3, seed=2))
     assert len(split.validation) == 3
-    assert split.validation.class_counts() == {"a": 2, "b": 1}
+    assert Counter(split.validation.labels) == {"a": 2, "b": 1}
 
 
 def test_partition_disjoint_exhaustive():
@@ -160,20 +179,20 @@ def test_tiny_class_falls_back_unstratified():
 def test_duplicate_train_row_classified_correctly():
     train = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), ["a", "b"], ["f0", "f1"])
     validation = Dataset(np.array([[0.0, 0.0]]), ["a"], ["f0", "f1"])
-    assert knn_error_rate(train, validation, k=1) == 0.0
+    assert _Scorer(train, validation, 1).error_rate(1, "uniform", 2.0) == 0.0
 
 
 def test_blobs_task_low_error():
     dataset = make_blobs(n_rows=200, sigma=0.3, separation=4.0, seed=7)
     split = partition(dataset, PartitionSpec(validation_fraction=0.3, seed=7))
-    error = knn_error_rate(split.train, split.validation, k=5, weight="uniform", power=2.0)
+    error = _Scorer(split.train, split.validation, 5).error_rate(5, "uniform", 2.0)
     assert error <= 0.05
 
 
 def test_k_equal_train_size_predicts_majority():
     train = _labeled_dataset({"a": 14, "b": 6}, seed=5)
     validation = _labeled_dataset({"a": 7, "b": 3}, seed=6)
-    error = knn_error_rate(train, validation, k=len(train), weight="uniform")
+    error = _Scorer(train, validation, len(train)).error_rate(len(train), "uniform", 2.0)
     assert error == pytest.approx(3 / 10)  # every row predicted "a"
 
 
@@ -181,25 +200,25 @@ def test_error_rate_invariant_under_training_permutation():
     rng = np.random.default_rng(11)
     dataset = make_blobs(n_rows=60, sigma=1.5, separation=2.0, seed=11)
     split = partition(dataset, PartitionSpec(seed=11))
-    base = knn_error_rate(split.train, split.validation, k=7, weight="inverse", power=1.5)
+    base = _Scorer(split.train, split.validation, 7).error_rate(7, "inverse", 1.5)
     order = rng.permutation(len(split.train))
     shuffled = Dataset(
         split.train.features[order], [split.train.labels[i] for i in order], split.train.columns
     )
-    assert knn_error_rate(shuffled, split.validation, k=7, weight="inverse", power=1.5) == base
+    assert _Scorer(shuffled, split.validation, 7).error_rate(7, "inverse", 1.5) == base
 
 
 def test_error_rate_bounds_and_validation():
     train = _labeled_dataset({"a": 10, "b": 10}, seed=1)
     validation = _labeled_dataset({"a": 5, "b": 5}, seed=2)
     for k in (1, 5, 20):
-        assert 0.0 <= knn_error_rate(train, validation, k=k) <= 1.0
+        assert 0.0 <= _Scorer(train, validation, k).error_rate(k, "uniform", 2.0) <= 1.0
     with pytest.raises(EvaluationFailed):
-        knn_error_rate(train, validation, k=0)
+        _Scorer(train, validation, 0).error_rate(0, "uniform", 2.0)
     with pytest.raises(EvaluationFailed):
-        knn_error_rate(train, validation, k=21)
+        _Scorer(train, validation, 21).error_rate(21, "uniform", 2.0)
     with pytest.raises(EvaluationFailed):
-        knn_error_rate(train, validation, k=1, power=0.0)
+        _Scorer(train, validation, 1).error_rate(1, "uniform", 0.0)
 
 
 def _grid_dataset(rng, rows: int, features: int, labels: list[str]) -> Dataset:
@@ -220,7 +239,7 @@ def test_error_rate_equals_scalar_oracle_on_tie_heavy_data(weight, power):
     assert "z" in validation.labels
     for k in (1, 2, 3, 4, len(train)):
         expected = scalar_knn_error_rate(train, validation, k, weight, power)
-        assert knn_error_rate(train, validation, k=k, weight=weight, power=power) == expected
+        assert _Scorer(train, validation, k).error_rate(k, weight, power) == expected
 
 
 @pytest.mark.parametrize("features", [1, 6, 9, 17, 130])
@@ -230,7 +249,7 @@ def test_error_rate_equals_scalar_oracle_on_continuous_data(features):
     validation = Dataset(rng.standard_normal((25, features)), list(rng.choice(["a", "b"], 25)), [""] * features)
     for k, weight, power in [(1, "uniform", 2.0), (2, "inverse", 0.5), (7, "inverse", 3.7), (40, "uniform", 1.0)]:
         expected = scalar_knn_error_rate(train, validation, k, weight, power)
-        assert knn_error_rate(train, validation, k=k, weight=weight, power=power) == expected
+        assert _Scorer(train, validation, k).error_rate(k, weight, power) == expected
 
 
 @pytest.mark.parametrize("features", [0, 1, 7, 8, 9, 16, 17, 128, 129, 136, 300])

@@ -16,8 +16,11 @@ from .functions import SpaceMismatchError
 
 INVERSE_EPS = 1e-12
 # Bytes of neighbour lists one shared scorer keeps over all powers: about
-# 300 powers of a 450-row validation partition at k_cap 31.
+# 530 powers of a 450-row validation partition at k_cap 31 with uint8 labels.
 NEIGHBOUR_CACHE_BYTES = 64 << 20
+# Bytes of the float64 distance plane of one block of validation rows: a
+# power's neighbour lists are computed one such block at a time.
+BLOCK_BYTES = 1 << 20
 
 
 def _pairwise_sum(term, lo: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -102,7 +105,15 @@ class _Scorer:
     prefix of the first k_cap. The kept lists never exceed
     NEIGHBOUR_CACHE_BYTES in all; the least recently used power goes first.
     Two threads that miss on one power both compute it, outside the lock,
-    and keep one copy."""
+    and keep one copy.
+
+    A miss computes the lists one block of validation rows at a time, each
+    block's (rows, n_train) distance plane within BLOCK_BYTES (at least one
+    row), so its working memory is one block's planes plus the (n_val, k_cap)
+    lists. A row's distances and order depend on that row alone, so the
+    lists are the same bit for bit as from the whole distance matrix.
+    Training labels are held as codes in the smallest unsigned dtype that
+    holds them."""
 
     def __init__(self, train: Dataset, validation: Dataset, k_cap: int):
         labels = sorted(set(train.labels))
@@ -110,7 +121,9 @@ class _Scorer:
         self.n_labels = len(labels)
         self.k_cap = k_cap
         self.train_x, self.val_x = train.features, validation.features
-        self.train_y = np.array([index[lab] for lab in train.labels], dtype=np.intp)
+        self.train_y = np.array(
+            [index[lab] for lab in train.labels], dtype=np.min_scalar_type(max(self.n_labels - 1, 0))
+        )
         self.val_y = np.array([index.get(lab, -1) for lab in validation.labels], dtype=np.intp)
         self._kept: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._kept_bytes = 0
@@ -125,8 +138,15 @@ class _Scorer:
                 if entry is not None:
                     self._kept.move_to_end(power)
                     return entry
-        cols, near = _nearest(minkowski_distances(self.val_x, self.train_x, power), max(k, self.k_cap))
-        entry = (self.train_y[cols], near)
+        width = max(k, self.k_cap)
+        labels = np.empty((len(self.val_x), width), dtype=self.train_y.dtype)
+        near = np.empty((len(self.val_x), width))
+        step = max(1, BLOCK_BYTES // (8 * len(self.train_x)))
+        for lo in range(0, len(self.val_x), step):
+            block = slice(lo, lo + step)
+            cols, near[block] = _nearest(minkowski_distances(self.val_x[block], self.train_x, power), width)
+            labels[block] = self.train_y[cols]
+        entry = (labels, near)
         if k > self.k_cap:
             return entry
         for array in entry:
@@ -154,9 +174,10 @@ class _Scorer:
         calls; only the neighbour lists of a kept power carry over. A power
         not kept computes all len(validation) * len(train) distances (one
         power per feature per pair) and partitions each row of them for its
-        nearest; every call then adds k columns of votes. These are
-        whole-array numpy passes that release the GIL, so concurrent calls run
-        in parallel.
+        nearest, one block of rows at a time whose distance plane fits
+        BLOCK_BYTES; every call then adds k columns of votes. These are
+        block-wide numpy passes that release the GIL, so concurrent calls
+        run in parallel.
         """
         n_train = len(self.train_y)
         if n_train == 0:

@@ -11,6 +11,9 @@ is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
 - bayes-mixed: 9a2f055, before the GP solves, the mixed distance and the
   simplex vertices moved to held arrays; Bayes and Nelder-Mead on 6
   continuous, 2 integer and 1 categorical channel.
+- knn-hybrid: 94b6b80, before the k-NN neighbour lists were computed one
+  block of validation rows at a time; hybrid tunes the built-in k-NN learner
+  on 450 validation rows, with 9 cache hits and many repeated powers.
 
 Regenerate one, only for an intended change of behaviour, with
 

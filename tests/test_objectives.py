@@ -8,6 +8,7 @@ import os
 import signal
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -303,18 +304,20 @@ def test_knn_objective_reuses_neighbour_lists_exactly(monkeypatch, kind):
         Point([k, w, p]) for p in (2.0, 0.5, 2.0, 3.7, 0.5) for k in range(1, k_hi + 1) for w in ("uniform", "inverse")
     ]
     expected = {p.values: scalar_knn_error_rate(train, validation, *p.values) for p in points}
-    calls = []
+    monkeypatch.setattr(knn_module, "BLOCK_BYTES", 7 * 8 * len(train))  # a miss spans several 7-row blocks
+    rows_by_power = Counter()
 
     def counted_distances(a, b, power):
-        calls.append(power)
+        rows_by_power[power] += len(a)
         return minkowski_distances(a, b, power)
 
     monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    once = len(validation)  # rows of one computation of a power's neighbour lists
     for order in (points, points[::-1]):
         objective = _knn_objective(kind)
-        calls.clear()
+        rows_by_power.clear()
         assert [objective(p) for p in order] == [expected[p.values] for p in order]
-        assert sorted(calls) == [0.5, 2.0, 3.7]  # one per distinct power: nothing was evicted
+        assert rows_by_power == {0.5: once, 2.0: once, 3.7: once}  # one per distinct power: nothing was evicted
         assert _kept_bytes(objective) <= knn_module.NEIGHBOUR_CACHE_BYTES
 
     # k above the space's bound (a point from outside the space) is computed, not kept
@@ -323,14 +326,72 @@ def test_knn_objective_reuses_neighbour_lists_exactly(monkeypatch, kind):
     assert all(array.shape[1] == k_hi for entry in objective._scorer._kept.values() for array in entry)
 
     objective = _knn_objective(kind)
-    entry_bytes = 2 * len(validation) * k_hi * 8  # labels and distances, 8 bytes each
+    objective(points[0])
+    entry_bytes = _kept_bytes(objective)  # one power's labels and distances
     monkeypatch.setattr(knn_module, "NEIGHBOUR_CACHE_BYTES", 2 * entry_bytes)  # two of the three powers
-    calls.clear()
+    rows_by_power.clear()
     for p in points + points[::-1]:
         assert objective(p) == expected[p.values]
         assert _kept_bytes(objective) <= 2 * entry_bytes
     assert len(objective._scorer._kept) == 2
-    assert len(calls) > 3  # evicted powers were computed again
+    assert sum(rows_by_power.values()) > 3 * once  # evicted powers were computed again
+
+
+def _random_split(rng, n_train: int, n_val: int, features: int) -> tuple[Dataset, Dataset]:
+    """Standard-normal train and validation rows labelled at random."""
+    return tuple(
+        Dataset(rng.standard_normal((n, features)), list(rng.choice(["a", "b", "c"], n)), [""] * features)
+        for n in (n_train, n_val)
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize(
+    "features, n_val, data",
+    [(1, 23, "normal"), (8, 23, "normal"), (9, 23, "normal"), (17, 23, "normal"), (3, 1, "normal"), (2, 23, "grid")],
+)
+def test_blocked_neighbour_lists_equal_the_whole_matrix(monkeypatch, rows, features, n_val, data):
+    rng = np.random.default_rng(100 * features + n_val)
+    if data == "grid":
+        train = _grid_dataset(rng, 30, features, ["a", "b", "c"])
+        validation = _grid_dataset(rng, n_val, features, ["a", "b", "c", "z"])
+    else:
+        train, validation = _random_split(rng, 30, n_val, features)
+    monkeypatch.setattr(knn_module, "BLOCK_BYTES", rows * 8 * len(train))
+    blocks = []
+
+    def counted_distances(a, b, power):
+        blocks.append(len(a))
+        return minkowski_distances(a, b, power)
+
+    monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    k_cap = 5
+    scorer = _Scorer(train, validation, k_cap)
+    for power in (0.5, 2.0, 3.7):
+        for k in (k_cap + 4, k_cap):  # k > k_cap is computed and not kept; k_cap then misses too
+            blocks.clear()
+            labels, near = scorer._neighbours(k, power)
+            assert blocks == [rows] * (n_val // rows) + [n_val % rows] * (n_val % rows > 0)
+            cols, whole_near = _nearest(minkowski_distances(validation.features, train.features, power), k)
+            assert labels.dtype == np.uint8  # the smallest unsigned dtype that holds 3 label codes
+            assert np.array_equal(labels, scorer.train_y[cols])
+            assert np.array_equal(near, whole_near)
+        for k in (1, 3, k_cap, k_cap + 4):
+            for weight in ("uniform", "inverse"):
+                expected = scalar_knn_error_rate(train, validation, k, weight, power)
+                assert scorer.error_rate(k, weight, power) == expected
+
+
+def test_a_neighbour_list_miss_works_in_bounded_memory():
+    train, validation = _random_split(np.random.default_rng(41), 3000, 2000, 4)
+    scorer = _Scorer(train, validation, 5)
+    tracemalloc.start()
+    try:
+        scorer.error_rate(5, "inverse", 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # the whole 2000 x 3000 distance matrix alone takes 45.8 MiB
 
 
 def test_knn_objective_shared_by_threads_matches_serial():

@@ -7,10 +7,11 @@ exceeds the remaining budget). It validates each asked point, the only check
 of the points solvers hand in, encodes each ask in one call and keys each row
 once. Points whose key is neither in the history nor already asked this
 iteration are new; each is owned by its first asker and gets an eval_id that
-follows the order of asking. The iteration hands at most K drain tasks to its
-K pool threads; each drain takes the next new point in eval_id order,
-evaluates it and stores its record in that point's slot, while the calling
-thread only waits, so no objective runs on it. The history appends the new
+follows the order of asking. The iteration runs at most K drains: one on the
+calling thread and the others as tasks of a pool of K - 1 threads (none at
+K = 1). Each drain takes the next new point in eval_id order, evaluates it
+and stores its record in that point's slot; the calling thread then waits
+for the pool's drains. The history appends the new
 records and indexes them by key; the iteration's records, new and replayed
 from that index, are sorted by eval_id once, and each solver is told the
 records of its own asks plus, if it was registered with sharing, every other
@@ -153,7 +154,8 @@ class TuningManager:
 
         threads = f"tunekit-{id(self):x}"  # the prefix of the pool's thread names
         try:
-            with ThreadPoolExecutor(budget.max_concurrency, thread_name_prefix=threads) as pool:
+            # the caller is one of the K evaluators; at K = 1 nothing is submitted, so no thread starts
+            with ThreadPoolExecutor(max(budget.max_concurrency - 1, 1), thread_name_prefix=threads) as pool:
                 while history.evaluations < budget.max_evaluations:
                     live = [r for r in self._registrations if not r.done]
                     live = [r for r in live if not self._guarded(r, "is_done", r.solver.is_done, failed=True)]
@@ -201,6 +203,7 @@ class TuningManager:
     def _asks_of(self, reg: _Registration, capacity: int) -> list[_Ask]:
         points = list(reg.solver.ask(capacity))[:capacity]
         rows = encode_points(self.space, points)  # validates each point
+        rows.flags.writeable = False  # once for the batch: each record's row is a read-only view
         return [_Ask(reg, point, row, row_key(row)) for point, row in zip(points, rows)]
 
     def _collect_asks(self, live: list[_Registration], iteration: int, remaining: int) -> list[_Ask]:
@@ -225,13 +228,15 @@ class TuningManager:
         """Evaluate the new points under eval_ids evaluations+1, ...; the
         records come back in eval_id order.
 
-        At most `workers` drain tasks go to the pool, one hand-off per worker
-        instead of one per point. Each drain takes the next point from one
-        shared iterator, so points start in eval_id order and an idle worker
-        takes the next one, and writes its record into the point's slot.
-        When an evaluation or the wait for the drains raises (an interrupt,
-        say), the iterator is exhausted, so the other drains stop after
-        their current point instead of finishing the batch."""
+        At most `workers` drains run: min(workers, len(new)) - 1 go to the
+        pool, one hand-off per thread instead of one per point, and one runs
+        on the calling thread, which then waits for the others. Each drain
+        takes the next point from one shared iterator, so points start in
+        eval_id order and an idle drain takes the next one, and writes its
+        record into the point's slot. When an evaluation, on any thread, or
+        the wait for the drains raises (an interrupt, say), the iterator is
+        exhausted, so the other drains stop after their current point
+        instead of finishing the batch."""
 
         def worker(ask: _Ask, eval_id: int) -> TrialRecord:
             start = time.perf_counter()
@@ -281,7 +286,9 @@ class TuningManager:
                     raise
 
         try:
-            for task in [pool.submit(drain) for _ in range(min(workers, len(asks)))]:
+            tasks = [pool.submit(drain) for _ in range(min(workers, len(asks)) - 1)]
+            drain()
+            for task in tasks:
                 task.result()
         except BaseException:
             stop()

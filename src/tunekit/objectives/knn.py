@@ -4,6 +4,7 @@ weighting (categorical: uniform/inverse), Minkowski exponent (continuous)."""
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 
@@ -23,46 +24,59 @@ NEIGHBOUR_CACHE_BYTES = 64 << 20
 BLOCK_BYTES = 1 << 20
 
 
-def _pairwise_sum(term, lo: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
-    """term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise
-    summation adds a contiguous run of n values: in sequence from 0 below 8,
-    in eight interleaved partial sums up to 128, and by halves above. So each
-    entry equals np.sum over the stacked terms' last axis bit for bit."""
+def _pairwise_sum(term, lo: int, n: int, plane) -> np.ndarray:
+    """term(lo, out) + ... + term(lo + n - 1, out), added in the order numpy's
+    pairwise summation adds a contiguous run of n values: in sequence from 0
+    below 8, in eight interleaved partial sums up to 128, and by halves above.
+    So each entry equals np.sum over the stacked terms' last axis bit for bit.
+
+    term(j, out) writes term j into the array out and returns it. The sum
+    lands in plane(0); plane(1), plane(2), ... are scratch of the same shape,
+    and every addition is made in place."""
     if n < 8:
-        total = np.zeros(shape)
+        total, scratch = plane(0), plane(1)
+        total.fill(0.0)
         for j in range(lo, lo + n):
-            total += term(j)
+            total += term(j, scratch)
         return total
     if n <= 128:
         stop = n - n % 8
-        partial = [term(lo + j) for j in range(8)]
+        partial = [term(lo + j, plane(j)) for j in range(8)]
+        scratch = plane(8)
         for i in range(8, stop, 8):
             for j in range(8):
-                partial[j] += term(lo + i + j)
-        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-            (partial[4] + partial[5]) + (partial[6] + partial[7])
-        )
+                partial[j] += term(lo + i + j, scratch)
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):  # ((0+1)+(2+3))+((4+5)+(6+7))
+            partial[a] += partial[b]
+        total = partial[0]
         for j in range(lo + stop, lo + n):
-            total += term(j)
+            total += term(j, scratch)
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(term, lo, half, shape) + _pairwise_sum(term, lo + half, n - half, shape)
+    total = _pairwise_sum(term, lo, half, plane)
+    total += _pairwise_sum(term, lo + half, n - half, lambda i: plane(i + 1))
+    return total
 
 
-def minkowski_distances(a: np.ndarray, b: np.ndarray, power: float) -> np.ndarray:
+def minkowski_distances(a: np.ndarray, b: np.ndarray, power: float, plane=None) -> np.ndarray:
     """(len(a), len(b)) Minkowski distances sum_j |a_j - b_j| ** power, then
     ** (1 / power), built one (len(a), len(b)) plane per feature. Equal bit
     for bit to np.sum(np.abs(a[:, None] - b[None]) ** power, axis=2) ** (1 /
-    power) without its (len(a), len(b), features) temporaries."""
+    power) without its (len(a), len(b), features) temporaries.
 
-    def term(j: int) -> np.ndarray:
-        plane = np.subtract.outer(a[:, j], b[:, j])
-        np.abs(plane, out=plane)
-        plane **= power  # `**`, not np.power: it squares for power 2, as `diffs ** power` does
-        return plane
+    plane(i) gives the i-th (len(a), len(b)) float64 array to work in (see
+    _pairwise_sum), and the result is plane(0); without it each is new."""
+    if plane is None:
+        plane = lambda i: np.empty((len(a), len(b)))  # noqa: E731
 
-    total = _pairwise_sum(term, 0, a.shape[1], (len(a), len(b)))
+    def term(j: int, out: np.ndarray) -> np.ndarray:
+        np.subtract.outer(a[:, j], b[:, j], out=out)
+        np.abs(out, out=out)
+        out **= power  # `**`, not np.power: it squares for power 2, as `diffs ** power` does
+        return out
+
+    total = _pairwise_sum(term, 0, a.shape[1], plane)
     total **= 1.0 / power
     return total
 
@@ -112,6 +126,9 @@ class _Scorer:
     row), so its working memory is one block's planes plus the (n_val, k_cap)
     lists. A row's distances and order depend on that row alone, so the
     lists are the same bit for bit as from the whole distance matrix.
+    Each thread keeps the block planes it computed in (two below 8 features,
+    nine or more above) and reuses them for its later misses, so a miss
+    does not allocate, and fault in, fresh planes for every block.
     Training labels are held as codes in the smallest unsigned dtype that
     holds them."""
 
@@ -128,6 +145,14 @@ class _Scorer:
         self._kept: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._kept_bytes = 0
         self._lock = threading.Lock()
+        self._local = threading.local()  # .planes: this thread's block distance planes
+
+    def _plane(self, i: int, rows: int, step: int) -> np.ndarray:
+        """The first `rows` rows of this thread's i-th (step, n_train) block plane."""
+        planes = self._local.__dict__.setdefault("planes", [])
+        while len(planes) <= i:
+            planes.append(np.empty((step, len(self.train_x))))
+        return planes[i][:rows]
 
     def _neighbours(self, k: int, power: float) -> tuple[np.ndarray, np.ndarray]:
         """(labels, distances) of each validation row's nearest training rows
@@ -143,9 +168,10 @@ class _Scorer:
         near = np.empty((len(self.val_x), width))
         step = max(1, BLOCK_BYTES // (8 * len(self.train_x)))
         for lo in range(0, len(self.val_x), step):
-            block = slice(lo, lo + step)
-            cols, near[block] = _nearest(minkowski_distances(self.val_x[block], self.train_x, power), width)
-            labels[block] = self.train_y[cols]
+            block = self.val_x[lo : lo + step]
+            plane = functools.partial(self._plane, rows=len(block), step=step)
+            cols, near[lo : lo + step] = _nearest(minkowski_distances(block, self.train_x, power, plane), width)
+            labels[lo : lo + step] = self.train_y[cols]
         entry = (labels, near)
         if k > self.k_cap:
             return entry

@@ -35,14 +35,18 @@ class EvaluationFailed(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrialRecord:
     """One evaluated point.
 
     key is canonical_key(space, point) and encoded is encode(space, point),
     both computed once by the manager when the point was asked. encoded is
     made read-only here, so solvers can keep it without copying; it takes no
-    part in equality, hashing or repr."""
+    part in equality, hashing or repr.
+
+    The manager builds one record per evaluation, so __init__ checks the
+    fields and stores them in one assignment of the instance dict, instead
+    of a frozen dataclass's setattr per field and a __post_init__ call."""
 
     point: Point
     key: CacheKey
@@ -55,18 +59,47 @@ class TrialRecord:
     wall_time_ms: float = 0.0
     fail_reason: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.status == STATUS_FAIL:
-            if self.objective != PENALTY_OBJECTIVE:
+    def __init__(
+        self,
+        point: Point,
+        key: CacheKey,
+        encoded: np.ndarray,
+        objective: float,
+        status: str,
+        solver_id: str,
+        iteration: int,
+        eval_id: int,
+        wall_time_ms: float = 0.0,
+        fail_reason: str | None = None,
+    ) -> None:
+        if status == STATUS_OK:
+            if not math.isfinite(objective):
+                raise ValueError(f"ok records need a finite objective, got {objective}")
+        elif status == STATUS_FAIL:
+            if objective != PENALTY_OBJECTIVE:
                 raise ValueError("failed records must carry the penalty sentinel objective")
-        elif self.status == STATUS_OK:
-            if not math.isfinite(self.objective):
-                raise ValueError(f"ok records need a finite objective, got {self.objective}")
         else:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.wall_time_ms < 0 or self.iteration < 0:
+            raise ValueError(f"unknown status {status!r}")
+        if wall_time_ms < 0 or iteration < 0:
             raise ValueError("wall_time_ms and iteration must be non-negative")
-        self.encoded.flags.writeable = False
+        if encoded.flags.writeable:  # the manager's rows come read-only; reading the flag is cheaper
+            encoded.flags.writeable = False
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "point": point,
+                "key": key,
+                "encoded": encoded,
+                "objective": objective,
+                "status": status,
+                "solver_id": solver_id,
+                "iteration": iteration,
+                "eval_id": eval_id,
+                "wall_time_ms": wall_time_ms,
+                "fail_reason": fail_reason,
+            },
+        )
 
     @property
     def ok(self) -> bool:

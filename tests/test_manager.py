@@ -368,13 +368,28 @@ def test_at_most_k_evaluations_run_at_once(k):
     assert 1 <= probe.peak <= k
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_no_objective_runs_on_the_calling_thread(k):
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_the_calling_thread_evaluates_too(monkeypatch, k):
+    # the caller is one of the K evaluators: at K = 1 it evaluates every
+    # point and no thread starts; above, it evaluates beside K - 1 pool threads
+    started: list[threading.Thread] = []
+    start = threading.Thread.start
+
+    def counting_start(thread: threading.Thread) -> None:
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     probe = ConcurrencyProbe()
     manager = TuningManager(SPACE2)
     manager.register_solver(ScriptedSolver(distinct_batches([1, 3, 5])))
-    manager.run(probe, Budget(100, max_concurrency=k))
-    assert probe.threads and threading.get_ident() not in probe.threads
+    history = manager.run(probe, Budget(100, max_concurrency=k))
+    assert history.evaluations == 9
+    assert threading.get_ident() in probe.threads  # the batch of one runs on the caller
+    assert len(probe.threads) <= k and 1 <= probe.peak <= k
+    assert len(started) <= k - 1
+    if k == 1:
+        assert probe.threads == {threading.get_ident()} and not started
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -394,7 +409,7 @@ def test_each_iteration_submits_at_most_k_tasks(monkeypatch, k):
     objective = counted(sphere_objective)
     history = manager.run(objective, Budget(100, max_concurrency=k))
     assert len(objective.calls) == history.evaluations == sum(sizes)
-    assert [submits.count(i) for i in range(1, len(sizes) + 1)] == [min(k, n) for n in sizes]
+    assert [submits.count(i) for i in range(1, len(sizes) + 1)] == [min(k, n) - 1 for n in sizes]
 
 
 def test_drains_evaluate_every_point_once_under_fast_thread_switching():
@@ -434,7 +449,7 @@ def test_keyboard_interrupt_in_objective_propagates_and_joins_the_pool(k):
         assert set(threading.enumerate()) <= before  # no pool thread left alive
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
 def test_interrupt_while_the_pool_starts_a_thread_joins_that_thread(monkeypatch, k):
     # An interrupt that reaches `pool.submit` after the new thread started but
     # before the pool listed it leaves a thread that leaving the pool does not
@@ -445,7 +460,7 @@ def test_interrupt_while_the_pool_starts_a_thread_joins_that_thread(monkeypatch,
 
     def objective(point: Point, eval_id: int) -> float:
         callers.append(threading.current_thread())
-        last = len(started) == k and callers[-1] is started[-1]
+        last = len(started) == k - 1 and callers[-1] is started[-1]
         time.sleep(0.2 if last else 0.01)  # the last thread outlasts every other one
         return sphere_objective(point, eval_id)
 
@@ -454,7 +469,7 @@ def test_interrupt_while_the_pool_starts_a_thread_joins_that_thread(monkeypatch,
     def start_then_interrupt(thread: threading.Thread) -> None:
         started.append(thread)
         start(thread)
-        if len(started) == k:  # the pool's last thread
+        if len(started) == k - 1:  # the pool's last thread
             deadline = time.monotonic() + 5.0
             while thread not in callers and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -465,38 +480,96 @@ def test_interrupt_while_the_pool_starts_a_thread_joins_that_thread(monkeypatch,
     manager.register_solver(RandomSearch(SPACE2, seed=7, batch=20))
     with pytest.raises(KeyboardInterrupt):
         manager.run(objective, Budget(20, max_concurrency=k))
+    assert len(started) == k - 1
     assert started[-1] in callers  # the interrupt came while that thread evaluated
+    assert threading.current_thread() not in callers  # the caller never reached its drain
     assert set(threading.enumerate()) <= before  # no pool thread left alive
     assert len(callers) <= k + 1
 
 
-@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
-@pytest.mark.parametrize("k", [1, 2])
-def test_interrupt_while_waiting_for_the_drains_stops_the_batch(k):
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt on the main thread for the test's duration."""
+    if not hasattr(signal, "pthread_kill"):
+        pytest.skip("needs signal.pthread_kill")
     if threading.current_thread() is not threading.main_thread():
         pytest.skip("SIGINT is handled on the main thread")
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        yield threading.get_ident()
+    finally:
+        signal.signal(signal.SIGINT, handler)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_interrupt_while_the_caller_evaluates_stops_the_batch(sigint_raises, k):
     before = set(threading.enumerate())
-    main = threading.get_ident()
-    calls, started_before_interrupt = [], []
+    main = sigint_raises
+    calls, at_interrupt = [], []
+    evaluating = threading.Event()
 
     def objective(point: Point, eval_id: int) -> float:
         calls.append(eval_id)
-        if eval_id == 1:
-            time.sleep(0.1)  # every drain has been submitted, and the caller waits on them
-            started_before_interrupt.append(len(calls))
-            signal.pthread_kill(main, signal.SIGINT)
+        if threading.get_ident() == main and not evaluating.is_set():
+            evaluating.set()
+            time.sleep(5.0)  # the interrupt cuts this short
         time.sleep(0.01)
         return sphere_objective(point, eval_id)
 
-    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    def interrupt() -> None:
+        if evaluating.wait(5.0):
+            at_interrupt.append(len(calls))
+            signal.pthread_kill(main, signal.SIGINT)
+
+    sender = threading.Thread(target=interrupt)
+    sender.start()
+    started = time.monotonic()
     try:
         manager = TuningManager(SPACE2)
         manager.register_solver(RandomSearch(SPACE2, seed=7, batch=20))
         with pytest.raises(KeyboardInterrupt):
             manager.run(objective, Budget(20, max_concurrency=k))
     finally:
-        signal.signal(signal.SIGINT, handler)
-    assert len(calls) <= started_before_interrupt[0] + k  # the drains stop after their current point
+        sender.join(5.0)
+    assert not sender.is_alive() and at_interrupt
+    assert time.monotonic() - started < 2.0  # the caller's evaluation did not run to its end
+    assert len(calls) <= at_interrupt[0] + k  # the pool's drains stop after their current point
+    assert set(threading.enumerate()) <= before  # no pool thread left alive
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_interrupt_while_waiting_for_the_drains_stops_the_batch(sigint_raises, k):
+    # The caller waits only once its own drain has found no point left, so the
+    # interrupt comes after the whole batch was taken, and the run must stop
+    # there instead of starting the next iteration.
+    before = set(threading.enumerate())
+    main = sigint_raises
+    lock = threading.Lock()
+    calls, on_main, waited = [], [], []
+
+    def objective(point: Point, eval_id: int) -> float:
+        on_caller = threading.get_ident() == main
+        with lock:
+            calls.append(eval_id)
+            on_main.append(on_caller)
+            first_on_pool = not on_caller and not waited
+            if first_on_pool:
+                waited.append(eval_id)
+        if first_on_pool:
+            deadline = time.monotonic() + 5.0
+            while len(calls) < 10 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.1)  # the caller's drain has returned; it waits on the pool's
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.01)
+        return sphere_objective(point, eval_id)
+
+    manager = TuningManager(SPACE2)
+    manager.register_solver(RandomSearch(SPACE2, seed=7, batch=10))
+    with pytest.raises(KeyboardInterrupt):
+        manager.run(objective, Budget(20, max_concurrency=k))
+    assert sorted(calls) == list(range(1, 11))  # the first batch, and no second iteration
+    assert any(on_main) and waited
     assert set(threading.enumerate()) <= before  # no pool thread left alive
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -36,8 +37,10 @@ from tunekit.objectives import (
     partition,
 )
 from tunekit.objectives.knn import _nearest, _Scorer, minkowski_distances
+from tunekit.manager import TuningManager
+from tunekit.solvers import RandomSearch
 from tunekit.space import CategoricalVariable, ContinuousVariable, IntegerVariable, Point, SearchSpace
-from tunekit.trials import EvaluationFailed
+from tunekit.trials import Budget, EvaluationFailed
 
 BOX2 = SearchSpace([ContinuousVariable("x", -5.0, 5.0), ContinuousVariable("y", -5.0, 5.0)])
 
@@ -258,9 +261,19 @@ def test_minkowski_distances_equal_the_summed_tensor(features):
     rng = np.random.default_rng(features)
     a = rng.standard_normal((9, features)) * 10.0 ** rng.integers(-4, 4, (9, features))
     b = rng.standard_normal((11, features))
+    kept: list[np.ndarray] = []  # planes reused across calls, left dirty by the last one
+
+    def plane(i: int) -> np.ndarray:
+        while len(kept) <= i:
+            kept.append(np.full((len(a), len(b)), np.nan))
+        return kept[i]
+
     for power in (0.5, 1.0, 1.37, 2.0, 3.3):
         expected = np.sum(np.abs(a[:, None, :] - b[None, :, :]) ** power, axis=2) ** (1.0 / power)
         assert np.array_equal(minkowski_distances(a, b, power), expected)
+        assert np.array_equal(minkowski_distances(a, b, power, plane), expected)
+    # a sum and a term plane; eight partials and a term; one more per level of halving
+    assert len(kept) == (2 if features < 8 else 9 if features <= 128 else 10 + (features > 256))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -307,9 +320,9 @@ def test_knn_objective_reuses_neighbour_lists_exactly(monkeypatch, kind):
     monkeypatch.setattr(knn_module, "BLOCK_BYTES", 7 * 8 * len(train))  # a miss spans several 7-row blocks
     rows_by_power = Counter()
 
-    def counted_distances(a, b, power):
+    def counted_distances(a, b, power, plane=None):
         rows_by_power[power] += len(a)
-        return minkowski_distances(a, b, power)
+        return minkowski_distances(a, b, power, plane)
 
     monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
     once = len(validation)  # rows of one computation of a power's neighbour lists
@@ -360,9 +373,9 @@ def test_blocked_neighbour_lists_equal_the_whole_matrix(monkeypatch, rows, featu
     monkeypatch.setattr(knn_module, "BLOCK_BYTES", rows * 8 * len(train))
     blocks = []
 
-    def counted_distances(a, b, power):
+    def counted_distances(a, b, power, plane=None):
         blocks.append(len(a))
-        return minkowski_distances(a, b, power)
+        return minkowski_distances(a, b, power, plane)
 
     monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
     k_cap = 5
@@ -392,6 +405,22 @@ def test_a_neighbour_list_miss_works_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20  # the whole 2000 x 3000 distance matrix alone takes 45.8 MiB
+
+
+def test_each_thread_reuses_its_own_block_planes():
+    train, validation = _random_split(np.random.default_rng(43), 300, 200, 4)
+    scorer = _Scorer(train, validation, 5)
+
+    def miss(power: float) -> list[int]:
+        assert scorer.error_rate(5, "uniform", power) == scalar_knn_error_rate(train, validation, 5, "uniform", power)
+        return [id(plane) for plane in scorer._local.planes]
+
+    first = miss(1.5)
+    assert len(first) == 2  # a sum and a term plane below 8 features
+    assert miss(2.5) == first  # the next miss on this thread works in the same planes
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(miss, 3.5).result(timeout=60)
+    assert len(other) == 2 and not set(other) & set(first)
 
 
 def test_knn_objective_shared_by_threads_matches_serial():
@@ -621,6 +650,72 @@ def test_external_evaluation_leaves_no_process_behind(tmp_path: Path, stdout, th
     finally:
         if pid is not None and _running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+def _group_members(pgid: int) -> list[int]:
+    """The live processes (not zombies) whose process group is pgid."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text(encoding="utf-8").rsplit(")", 1)[1].split()
+            except (FileNotFoundError, ProcessLookupError):
+                continue
+            if int(fields[2]) == pgid and fields[0] != "Z":
+                members.append(int(entry.name))
+    return members
+
+
+HANGS_WITH_A_GRANDCHILD = """\
+import os, subprocess, sys, time
+child = subprocess.Popen(["sleep", "30"], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+open({pid_file!r}, "w").write(f"{{os.getpid()}} {{child.pid}}")
+time.sleep(30)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_interrupt_during_an_external_evaluation_on_the_caller(tmp_path: Path):
+    # At K = 1 the command runs under the calling thread: SIGINT must reach
+    # `run` promptly as KeyboardInterrupt and leave nothing of the command's group.
+    if threading.current_thread() is not threading.main_thread():
+        pytest.skip("SIGINT is handled on the main thread")
+    space = SearchSpace([ContinuousVariable("x", 0.0, 10.0)])
+    pid_file = tmp_path / "pids"
+    body = HANGS_WITH_A_GRANDCHILD.format(pid_file=str(pid_file))
+    objective = ExternalObjective(space, _stub(tmp_path, body), timeout_ms=20000)
+    main = threading.get_ident()
+    sent: list[float] = []
+
+    def pids() -> list[int]:  # the command's and its grandchild's, once both started
+        return [int(w) for w in pid_file.read_text(encoding="utf-8").split()] if pid_file.exists() else []
+
+    def interrupt() -> None:
+        deadline = time.monotonic() + 10.0
+        while len(pids()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        sent.append(time.monotonic())
+        signal.pthread_kill(main, signal.SIGINT)
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    sender = threading.Thread(target=interrupt)
+    try:
+        sender.start()
+        manager = TuningManager(space)
+        manager.register_solver(RandomSearch(space, seed=3, batch=2))
+        with pytest.raises(KeyboardInterrupt):
+            manager.run(objective, Budget(4, max_concurrency=1))
+        raised = time.monotonic()
+        sender.join(10.0)
+        assert not sender.is_alive() and len(pids()) == 2
+        assert raised - sent[0] < 2.0  # not the command's 30 s, nor the 20 s timeout
+        assert _group_members(pids()[0]) == []  # the command and its grandchild are gone
+    finally:
+        signal.signal(signal.SIGINT, handler)
+        for pid in pids():
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- build_objective factory --------------------------------------------------------------------

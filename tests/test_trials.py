@@ -87,6 +87,35 @@ def test_unknown_status_rejected():
         )
 
 
+def test_record_is_frozen_and_compares_without_its_row():
+    row = encode(SPACE, Point([0.5]))
+    assert row.flags.writeable
+    rec = ok_record(0.5, 1.0, 1)
+    twin = TrialRecord(
+        point=Point([0.5]),
+        key=rec.key,
+        encoded=row,
+        objective=1.0,
+        status="ok",
+        solver_id="s",
+        iteration=1,
+        eval_id=1,
+    )
+    assert not row.flags.writeable  # the record made the caller's row read-only
+    assert twin == rec and hash(twin) == hash(rec) and twin.encoded is row
+    assert "encoded" not in repr(twin)
+    assert twin != ok_record(0.5, 1.0, 2)
+    with pytest.raises(AttributeError):
+        twin.objective = 0.0
+    with pytest.raises(AttributeError):
+        del twin.status
+    assert twin.objective == 1.0 and twin.status == "ok"
+    with pytest.raises(ValueError):
+        ok_record(0.5, 1.0, 1, iteration=-1)
+    with pytest.raises(ValueError):
+        ok_record(0.5, 1.0, 1, wall_time_ms=-0.5)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(0)

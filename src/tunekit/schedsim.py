@@ -10,6 +10,7 @@ takes ceil(batch / min(B, batch)) training waves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,9 +86,14 @@ def best_allocation(
 
 def fit_cost_model(observations: list[tuple[int, float]]) -> tuple[CostModel, float]:
     """Nonnegative least-squares fit of (t_serial, c_comm, t_fixed) to
-    (workers, time) measurements; returns (model, residual norm)."""
-    import scipy.optimize  # deferred: costs a fifth of a second on every import of tunekit
+    (workers, time) measurements; returns (model, residual norm).
 
+    The NNLS solution is the unconstrained least-squares solution on its own
+    support, so with three columns it is found exactly by solving each of
+    the 7 non-empty column subsets, keeping the solutions with every
+    coefficient >= 0 and taking the one with the smallest residual (all
+    zeros if none is kept). A column left out has a coefficient of exactly
+    0.0."""
     if len(observations) < 3:
         raise ValueError(f"need at least 3 observations, got {len(observations)}")
     workers = [w for w, _ in observations]
@@ -97,5 +103,16 @@ def fit_cost_model(observations: list[tuple[int, float]]) -> tuple[CostModel, fl
         raise ValueError("worker counts must be >= 1")
     design = np.array([[1.0 / w, w - 1.0, 1.0] for w in workers])
     times = np.array([t for _, t in observations], dtype=float)
-    coeffs, residual = scipy.optimize.nnls(design, times)
-    return CostModel(*coeffs), float(residual)
+    coeffs = np.zeros(3)
+    residual = float(np.linalg.norm(times))
+    for size in (1, 2, 3):
+        for cols in itertools.combinations(range(3), size):
+            sub = np.linalg.lstsq(design[:, cols], times, rcond=None)[0]
+            if np.any(sub < 0):
+                continue
+            trial = np.zeros(3)
+            trial[list(cols)] = sub
+            norm = float(np.linalg.norm(design @ trial - times))
+            if norm < residual:
+                coeffs, residual = trial, norm
+    return CostModel(*coeffs.tolist()), residual

@@ -99,6 +99,13 @@ def stable_nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray):
     """Independent rebuild of the GP posterior with plain dense solves:
     mu = m + k*^T (K + jitter I)^-1 (y - m), var = k(x,x) - k*^T (...)^-1 k*."""
+    (mu,), (var,) = dense_posterior_oracle_many(model, space, query[None, :])
+    return float(mu), float(var)
+
+
+def dense_posterior_oracle_many(model: GPModel, space: SearchSpace, queries: np.ndarray):
+    """dense_posterior_oracle at each query row, the kernel matrix built once;
+    returns (mean, variance) arrays."""
     x_train = model.train_x
     n = len(x_train)
     sf2, ell = model.signal_var, model.length_scale
@@ -109,10 +116,12 @@ def dense_posterior_oracle(model: GPModel, space: SearchSpace, query: np.ndarray
     k_mat = np.array([[kern(x_train[i], x_train[j]) for j in range(n)] for i in range(n)])
     a_mat = k_mat + model.jitter * np.eye(n)
     y_minus_m = a_mat @ model._alpha  # recover centered targets from the fit
-    k_star = np.array([kern(query, x_train[i]) for i in range(n)])
-    mu = model.prior_mean + k_star @ np.linalg.solve(a_mat, y_minus_m)
-    var = sf2 - k_star @ np.linalg.solve(a_mat, k_star)
-    return float(mu), max(float(var), 0.0)
+    mus, variances = [], []
+    for query in queries:
+        k_star = np.array([kern(query, x_train[i]) for i in range(n)])
+        mus.append(model.prior_mean + k_star @ np.linalg.solve(a_mat, y_minus_m))
+        variances.append(max(float(sf2 - k_star @ np.linalg.solve(a_mat, k_star)), 0.0))
+    return np.array(mus), np.array(variances)
 
 
 def _list_axis_simplex(x0: np.ndarray, edge: float) -> list[np.ndarray]:

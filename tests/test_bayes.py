@@ -3,23 +3,32 @@ hyperparameter fallbacks, acquisition behavior, and Branin quality."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import dense_believer_posterior, dense_posterior_oracle, reference_propose, run_python
+from helpers import (
+    dense_believer_posterior,
+    dense_posterior_oracle,
+    dense_posterior_oracle_many,
+    reference_propose,
+    run_python,
+)
 from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
 from tunekit.sampling import SampleRequest, lhs_sample
 from tunekit.solvers.bayes import (
+    TRIL_LEAF,
     BayesConfig,
     BayesSearch,
     BelieverVariance,
     GPModel,
     fit_gp,
     propose,
+    tril_inverse,
     trim_records,
 )
 from tunekit.space import (
@@ -29,11 +38,13 @@ from tunekit.space import (
     Point,
     SearchSpace,
     encode,
+    mixed_sqdist_matrix,
 )
 from tunekit.trials import Budget, TrialRecord
 
 UNIT1 = SearchSpace([ContinuousVariable("x", 0.0, 1.0)])
 BOX3 = SearchSpace([ContinuousVariable(f"x{i}", -2.0, 2.0) for i in range(3)])
+UNIT5 = SearchSpace([ContinuousVariable(f"x{i}", 0.0, 1.0) for i in range(5)])
 MIXED = SearchSpace(
     [
         ContinuousVariable("x", 0.0, 1.0),
@@ -193,12 +204,58 @@ def test_variance_bounds():
     assert np.all(var <= model.signal_var * (1 + 1e-9))
 
 
-@pytest.mark.parametrize("n", [3, 20, 120])
+@pytest.mark.parametrize("n", [1, TRIL_LEAF - 1, TRIL_LEAF, TRIL_LEAF + 1, 2 * TRIL_LEAF + 1, 300])
+def test_tril_inverse_inverts_a_kernel_factor(n):
+    # sizes at and around the leaf cutoff, and the largest fit
+    rng = np.random.default_rng(n)
+    x = rng.uniform(size=(n, 5))
+    kernel = np.exp(-mixed_sqdist_matrix(UNIT5, x, x) / 0.5) + 1e-6 * np.eye(n)
+    lower = np.linalg.cholesky(kernel)
+    inverse = tril_inverse(lower)
+    assert np.all(np.triu(inverse, 1) == 0.0)
+    assert np.max(np.abs(inverse @ lower - np.eye(n))) <= 1e-9
+
+
+def assert_matches_dense_oracle(model: GPModel, space: SearchSpace, queries: np.ndarray) -> None:
+    """Posterior mean within 1e-6 of the signal sd and variance within 1e-6
+    of the signal variance of the dense-solve oracle."""
+    mean, var = model.posterior_many(queries)
+    mean_o, var_o = dense_posterior_oracle_many(model, space, queries)
+    assert np.max(np.abs(mean - mean_o)) <= 1e-6 * math.sqrt(model.signal_var)
+    assert np.max(np.abs(var - var_o)) <= 1e-6 * model.signal_var
+
+
+def test_300_record_fit_matches_dense_oracle():
+    rng = np.random.default_rng(300)
+    records = random_records(UNIT5, 300, rng)
+    model = fit_gp(UNIT5, records)
+    assert len(model.train_x) == 300 and model.jitter == model.noise_var
+    queries = np.concatenate([rng.uniform(size=(6, 5)), model.train_x[:2] + 1e-3])
+    assert_matches_dense_oracle(model, UNIT5, queries)
+
+
+def test_escalated_jitter_fit_matches_dense_oracle():
+    # 40 of 300 rows sit within 1e-9 of another, so their kernel rows are
+    # equal to working precision and the factorization fails at a noise
+    # variance of 1e-16 of the signal variance
+    rng = np.random.default_rng(40)
+    base = rng.uniform(size=(260, 5))
+    x = np.concatenate([base, base[:40] + 1e-9 * rng.normal(size=(40, 5))])
+    y = np.sum((x - 0.3) ** 2, axis=1)
+    signal_var = float(np.var(y, ddof=1))
+    model = GPModel(UNIT5, x, y, length_scale=0.7, signal_var=signal_var, noise_var=1e-16 * signal_var)
+    assert model.jitter > model.noise_var
+    queries = np.concatenate([rng.uniform(size=(6, 5)), x[-2:] + 1e-3])
+    assert_matches_dense_oracle(model, UNIT5, queries)
+
+
+@pytest.mark.parametrize("n", [3, 20, 120, 300])
 def test_batched_posterior_rows_equal_one_row_calls(n):
+    # 259 rows is a propose pool: 256 candidates and 3 refined points
     rng = np.random.default_rng(n)
     for space in (BOX3, MIXED):
         model = fit_gp(space, random_records(space, n, rng))
-        for batch in (2, 7, 64, 256):
+        for batch in (2, 3, 7, 64, 256, 259):
             points = lhs_sample(space, SampleRequest(batch, int(rng.integers(0, 2**31))))
             query = np.stack([encode(space, p) for p in points])
             mean, var = model.posterior_many(query)
@@ -342,18 +399,39 @@ def test_propose_posterior_calls_follow_longest_simplex():
 
 
 def test_scipy_linalg_loads_with_a_bayes_solver_not_with_the_cli():
-    # scipy.linalg costs about a fifth of a second to import: a run without
-    # Bayes never pays it, and a run with Bayes pays it while building its
-    # solvers, before the run starts
-    code = (
-        "import sys, tunekit.cli\n"
-        "from tunekit.objectives import BRANIN_SPACE\n"
-        "from tunekit.solvers import make_solver\n"
-        "before = 'scipy.linalg' in sys.modules\n"
-        "make_solver('bayes', BRANIN_SPACE, 0)\n"
-        "print(before, 'scipy.linalg' in sys.modules)"
-    )
-    assert run_python(code).split() == ["False", "True"]
+    # scipy costs about a fifth of a second to import, and the GP needs only
+    # numpy: a Bayes tune through the CLI, which reaches fit_gp and propose,
+    # loads no scipy module at all
+    code = """
+import json, sys, tempfile
+from pathlib import Path
+import tunekit.cli
+from tunekit.solvers import bayes
+
+calls = {"fit_gp": 0, "propose": 0}
+for name in calls:
+    inner = getattr(bayes, name)
+    def counting(*args, _inner=inner, _name=name, **kwargs):
+        calls[_name] += 1
+        return _inner(*args, **kwargs)
+    setattr(bayes, name, counting)
+
+config = {
+    "space": [{"name": "x1", "type": "continuous", "bounds": [-5.0, 10.0]},
+              {"name": "x2", "type": "continuous", "bounds": [0.0, 15.0]}],
+    "objective": {"builtin": {"name": "branin"}},
+    "budget": {"evaluations": 16, "concurrency": 1},
+    "solvers": [{"type": "bayes", "label": "bayes", "params": {"init": 6, "batch": 5}}],
+}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    tunekit.cli.main(["tune", "--config", str(path), "--out", str(Path(tmp) / "out")], standalone_mode=False)
+print(json.dumps({"calls": calls, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+    result = json.loads(run_python(code).splitlines()[-1])
+    assert result["calls"] == {"fit_gp": 2, "propose": 2}
+    assert result["scipy"] == []
 
 
 def test_first_ask_is_lhs_init():

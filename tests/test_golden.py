@@ -6,8 +6,11 @@ is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
 
 - cliff-hybrid, portfolio: 1328f5a, before point keys moved from the solvers
   to the manager.
-- bayes-direct: b7d3082, where Bayes began choosing each batch with the
-  Kriging believer.
+- bayes-direct: the child of 3938b7e, where the GP moved to numpy alone
+  (np.linalg.cholesky and a held inverse factor in place of scipy's potrs).
+  That moved the last bits of the posterior and 5 of the 40 rows, all at
+  or beyond the 6th significant digit. It was first written at b7d3082,
+  where Bayes began choosing each batch with the Kriging believer.
 - bayes-mixed: 9a2f055, before the GP solves, the mixed distance and the
   simplex vertices moved to held arrays; Bayes and Nelder-Mead on 6
   continuous, 2 integer and 1 categorical channel.

@@ -141,6 +141,30 @@ def test_fit_clamps_negative_to_zero_and_refits():
     assert model.t_fixed == pytest.approx(max(reduced[1], 0.0), abs=1e-8)
 
 
+def test_fit_satisfies_the_nnls_optimality_conditions():
+    # x solves NNLS exactly when x >= 0 and the gradient g = A^T (A x - t)
+    # is 0 where x > 0 and >= 0 where x = 0 (the KKT conditions)
+    rng = np.random.default_rng(5)
+    clamped = 0
+    for _ in range(300):
+        workers = rng.choice(np.arange(1, 33), size=int(rng.integers(3, 9)), replace=False)
+        # positive times around a model whose c_comm may be negative
+        t_serial, t_fixed, c_comm = rng.uniform(1, 100), rng.uniform(1, 5), rng.uniform(-0.03, 0.2)
+        noise = np.exp(rng.normal(0, 0.1, size=len(workers)))
+        times = (t_serial / workers + c_comm * (workers - 1) + t_fixed) * noise
+        model, residual = fit_cost_model([(int(w), float(t)) for w, t in zip(workers, times)])
+        x = np.array([model.t_serial, model.c_comm, model.t_fixed])
+        design = np.array([[1.0 / w, w - 1.0, 1.0] for w in workers])
+        gradient = design.T @ (design @ x - times)
+        tol = 1e-9 * np.linalg.norm(design) * np.linalg.norm(times)
+        assert np.all(x >= 0.0)
+        assert np.all(np.abs(gradient[x > 0]) <= tol)
+        assert np.all(gradient[x == 0] >= -tol)
+        assert residual == pytest.approx(np.linalg.norm(design @ x - times), rel=1e-12, abs=1e-12)
+        clamped += int(np.any(x == 0))
+    assert clamped >= 50  # the constraint is active in many of the cases
+
+
 def test_fit_requires_three_distinct_worker_counts():
     with pytest.raises(ValueError):
         fit_cost_model([(1, 10.0), (2, 6.0)])
@@ -149,7 +173,12 @@ def test_fit_requires_three_distinct_worker_counts():
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # only fit_cost_model needs scipy.optimize; loading it costs every command
-    # a fifth of a second
-    code = "import sys, tunekit.cli; print('scipy.optimize' in sys.modules)"
-    assert run_python(code).strip() == "False"
+    # fit_cost_model solves its NNLS with numpy; loading scipy would cost
+    # every command a fifth of a second
+    code = (
+        "import sys, tunekit.cli\n"
+        "from tunekit.schedsim import fit_cost_model\n"
+        "fit_cost_model([(1, 10.0), (2, 6.0), (4, 4.5)])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert run_python(code).strip() == "[]"

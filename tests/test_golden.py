@@ -17,6 +17,9 @@ is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
 - knn-hybrid: 94b6b80, before the k-NN neighbour lists were computed one
   block of validation rows at a time; hybrid tunes the built-in k-NN learner
   on 450 validation rows, with 9 cache hits and many repeated powers.
+- bayes-rosenbrock5: fc162c3, before the simplex engine moved to Python
+  floats and each proposal pool's kernel rows were computed once; Bayes
+  alone on a 5-d Rosenbrock box, 10 LHS points and 10 proposal batches of 5.
 
 Regenerate one, only for an intended change of behaviour, with
 

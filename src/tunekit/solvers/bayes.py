@@ -24,7 +24,9 @@ mean. That leaves the mean unchanged and shrinks sigma near the pick, so the
 next pick is drawn away from it instead of crowding the same basin. A fantasy
 extends the Cholesky factor by one row (the structure of GPML Alg. 2.1), an
 O(n^2) update of the pool's variances instead of an O(n^3) refit. The pool and
-its refinement are built once per batch, not again after each fantasy.
+its refinement are built once per batch, not again after each fantasy, and
+the pool's kernel rows k(pool, X) are computed once: the candidates are
+scored from them, and the believer conditions on them.
 """
 
 from __future__ import annotations
@@ -114,7 +116,11 @@ class GPModel:
         train_sqdist: np.ndarray | None = None,
     ):
         """train_sqdist, if given, is mixed_sqdist_matrix(space, train_x,
-        train_x); the fit overwrites it with the kernel matrix."""
+        train_x); the fit overwrites it with the kernel matrix. noise_var
+        must be positive: it is the first jitter tried, and each failed
+        factorization multiplies the jitter by ten."""
+        if not noise_var > 0.0:
+            raise ValueError(f"noise_var must be positive, got {noise_var}")
         self.space = space
         self.train_x = train_x
         self.prior_mean = float(np.mean(train_y))
@@ -153,8 +159,17 @@ class GPModel:
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._kernel_of(mixed_sqdist_matrix(self.space, a, b))
 
+    def kernel_rows(self, query: np.ndarray) -> np.ndarray:
+        """k(query, X): one row per encoded query row, one column per
+        training row. Each entry has the same bits whatever the batch."""
+        return self._kernel(query, self.train_x)
+
     def posterior_many(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, variance) arrays for encoded query rows; variance clamped >= 0.
+        """(mean, variance) arrays for encoded query rows; variance clamped >= 0."""
+        return self.posterior_of_kernel_rows(self.kernel_rows(query))
+
+    def posterior_of_kernel_rows(self, k_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """posterior_many of the query rows whose kernel_rows are k_rows.
 
         The variance is signal_var - |v|^2 with v = L^-1 k(x, X) (GPML Alg.
         2.1), taken through the inverse factor held from the fit. Each row's
@@ -166,7 +181,7 @@ class GPModel:
         block and order its sums by the number of rows m, and so change a
         row's last bits with m (test_batched_posterior_rows_equal_one_row_calls
         checks both the mean and the variance)."""
-        k_star = self._kernel(query, self.train_x)[:, None, :]
+        k_star = k_rows[:, None, :]
         mean = self.prior_mean + (k_star @ self._alpha[:, None])[:, 0, 0]
         v = k_star @ self._inv_chol_t
         var = self.signal_var - (v @ v.transpose(0, 2, 1))[:, 0, 0]
@@ -202,14 +217,15 @@ class BelieverVariance:
     u(x) = cov(x, b) / sqrt(cov(b, b) + jitter) and
     cov(x, b) = k(x, b) - k(x, X) w - sum over earlier fantasies of u'(x) u'(b),
     where w = (K + jitter I)^-1 k(X, b) = L^-T (L^-1 k(X, b)): two O(n^2)
-    products with the held inverse factor per fantasy, on top of k(rows, X),
-    computed once. The fantasy's value is the
-    posterior mean, so the mean stays as it was."""
+    products with the held inverse factor per fantasy, on top of
+    k_rows = k(rows, X), which the caller passes in (propose has it from
+    scoring the pool). The fantasy's value is the posterior mean, so the
+    mean stays as it was."""
 
-    def __init__(self, model: GPModel, rows: np.ndarray, var: np.ndarray):
+    def __init__(self, model: GPModel, rows: np.ndarray, k_rows: np.ndarray, var: np.ndarray):
         self._model = model
         self._rows = rows
-        self._k_rows = model._kernel(rows, model.train_x)
+        self._k_rows = k_rows
         self._u: list[np.ndarray] = []
         self.var = var
 
@@ -247,16 +263,22 @@ def propose(
     the LCB order is taken again. Pool points are keyed by their encoded
     rows, and a Point is built only for a pick."""
     design = lhs_design(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
-    rows = lhs_encoded(space, design)
-    mean, var = model.posterior_many(rows)
+    cont = space.continuous_indices
+    n_design = len(design)
+    n_refined = min(restarts, n_design) if cont else 0
+    # one array holds the whole pool's kernel rows; the refined rows' entries
+    # are computed for zero rows here and replaced once those rows are known
+    rows = np.zeros((n_design + n_refined, len(space.variables)))
+    rows[:n_design] = lhs_encoded(space, design)
+    k_rows = model.kernel_rows(rows)
+    mean, var = model.posterior_of_kernel_rows(k_rows[:n_design])
     order = np.argsort(mean - kappa * np.sqrt(var), kind="stable")
     ranks = np.empty(len(order), dtype=int)
     ranks[order] = np.arange(len(order))
     refined_coords = np.empty((0, len(space.variables)))
 
-    cont = space.continuous_indices
-    if cont:
-        templates = rows[order[:restarts]]
+    if n_refined:
+        templates = rows[order[:n_refined]]
 
         def refined_lcb(query: np.ndarray, owners: np.ndarray) -> np.ndarray:
             merged = templates[owners]
@@ -267,18 +289,17 @@ def propose(
         refined = nm_minimize_many(
             refined_lcb, templates[:, cont], edge=0.1, max_iters=REFINE_MAX_ITERS
         )
-        if refined:
-            merged = templates.copy()
-            merged[:, cont] = [best_u for best_u, _, _ in refined]
-            snapped = snap_encoded(space, merged)
-            refined_mean, refined_var = model.posterior_many(snapped)
-            rows = np.concatenate([rows, snapped])
-            mean = np.concatenate([mean, refined_mean])
-            var = np.concatenate([var, refined_var])
-            ranks = np.concatenate([ranks, -restarts + np.arange(len(refined))])
-            refined_coords = merged
+        merged = templates.copy()
+        merged[:, cont] = [best_u for best_u, _, _ in refined]
+        rows[n_design:] = snap_encoded(space, merged)
+        k_rows[n_design:] = model.kernel_rows(rows[n_design:])
+        refined_mean, refined_var = model.posterior_of_kernel_rows(k_rows[n_design:])
+        mean = np.concatenate([mean, refined_mean])
+        var = np.concatenate([var, refined_var])
+        ranks = np.concatenate([ranks, -restarts + np.arange(n_refined)])
+        refined_coords = merged
 
-    believer = BelieverVariance(model, rows, var) if m > 1 else None
+    believer = BelieverVariance(model, rows, k_rows, var) if m > 1 else None
     considered = np.zeros(len(rows), dtype=bool)
     chosen: list[tuple[Point, CacheKey]] = []
     used: set[CacheKey] = set(seen)

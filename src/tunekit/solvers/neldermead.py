@@ -10,11 +10,21 @@ Candidates are clipped to [0, 1]^d before evaluation. A candidate that lands
 exactly on an existing vertex after clipping is not evaluated; it is treated
 as arbitrarily bad, which pushes the iteration toward an inside contraction
 (and a failed contraction toward a shrink).
+
+A simplex holds d + 1 vertices of d coordinates, a few dozen numbers, so the
+engine keeps them as Python floats: a numpy call would cost more than its
+arithmetic. Each step does the float operations of the array code it
+replaced in the same order (sums from 0.0 in row order, as np.add.reduce
+along axis 0; clipping as np.minimum(np.maximum(x, 0), 1)), so a search takes
+the same path bit for bit. Only the degeneracy test calls numpy, for
+np.linalg.det.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import add, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,42 +44,40 @@ DEGENERATE_VOLUME = 1e-12
 REINIT_EDGE = 0.05
 
 
-def _axis_simplex(x0: np.ndarray, edge: float) -> np.ndarray:
-    """x0 plus one offset vertex per axis, stepping away from the nearer wall,
-    as a (d + 1, d) array."""
-    d = len(x0)
-    vertices = np.repeat(x0[None, :], d + 1, axis=0)
-    step = np.where(x0 + edge <= 1.0, edge, -edge)
-    vertices[np.arange(1, d + 1), np.arange(d)] = _clip(x0 + step)
+def _clipped(row: list[float]) -> list[float]:
+    """row clipped to [0, 1] as np.minimum(np.maximum(row, 0), 1) clips it:
+    NaN stays NaN and -0.0 becomes 0.0."""
+    return [0.0 if v <= 0.0 else 1.0 if v > 1.0 else v for v in row]
+
+
+def _axis_vertices(x0: list[float], edge: float) -> list[list[float]]:
+    """x0 plus one offset vertex per axis, stepping away from the nearer wall."""
+    moved = _clipped([v + (edge if v + edge <= 1.0 else -edge) for v in x0])
+    vertices = [x0]
+    for i, v in enumerate(moved):
+        vertex = list(x0)
+        vertex[i] = v
+        vertices.append(vertex)
     return vertices
 
 
-def _clip(x: np.ndarray) -> np.ndarray:
-    """x clipped to [0, 1]; np.clip's result at a fraction of its call cost."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def _is_degenerate(vertices: np.ndarray) -> bool:
-    """Shape degeneracy: volume vanishing relative to the simplex's own scale.
-
-    A uniformly shrunk simplex is converging, not degenerate, so the volume is
-    normalized by the longest edge length before comparing to the threshold."""
-    if len(vertices) < 2:
-        return True
-    basis = vertices[1:] - vertices[0]
-    scale = float(np.abs(basis).max())
-    if scale == 0.0:
-        return True
-    m = len(basis)
-    volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
-    return volume / scale**m < DEGENERATE_VOLUME
+def _centroid(rows: list[list[float]]) -> list[float]:
+    """The mean of the rows as np.mean(rows, axis=0) takes it: each coordinate
+    summed from 0.0 in row order, then divided by the row count."""
+    total = [0.0] * len(rows[0])
+    for row in rows:
+        total = list(map(add, total, row))
+    n = len(rows)
+    return [t / n for t in total]
 
 
 class SimplexSearch:
-    """The vertices are one (d + 1, d) array, kept sorted by value (best
-    first) with their values in a list of the same order. pending() is a
-    (k, d) array, one row per point whose value is needed next, and advance()
-    takes their k values in row order."""
+    """The vertices are lists of Python floats (see the module docstring),
+    kept sorted by value, best first, with their values in a list of the same
+    order. `sorted` orders them, and it is stable: tied vertices keep their
+    order, and a NaN value, which compares false with everything, lands where
+    the merge puts it. pending() is a (k, d) array, one row per point whose
+    value is needed next, and advance() takes their k values in row order."""
 
     def __init__(
         self,
@@ -78,21 +86,24 @@ class SimplexSearch:
         vertices: Sequence[np.ndarray] | None = None,
     ):
         if vertices is not None:
-            self._init_vertices = np.array([np.asarray(v, dtype=float) for v in vertices])
+            self._verts = [np.asarray(v, dtype=float).tolist() for v in vertices]
         else:
             if x0 is None:
                 raise ValueError("need x0 or explicit vertices")
-            self._init_vertices = _axis_simplex(np.asarray(x0, dtype=float), edge)
+            self._verts = _axis_vertices(np.asarray(x0, dtype=float).tolist(), float(edge))
         self.iterations = 0
-        self.best_x: np.ndarray | None = None
         self.best_f = math.inf
-        self._verts = np.empty((0, 0))
+        self._best_row: list[float] | None = None
         self._fs: list[float] = []
         self._gen = self._main()
-        self._pending: np.ndarray = next(self._gen)
+        self._pending: list[list[float]] = next(self._gen)
+
+    @property
+    def best_x(self) -> np.ndarray | None:
+        return None if self._best_row is None else np.array(self._best_row)
 
     def pending(self) -> np.ndarray:
-        return self._pending.copy()
+        return np.array(self._pending)
 
     def advance(self, values: Sequence[float]) -> None:
         if len(values) != len(self._pending):
@@ -101,7 +112,7 @@ class SimplexSearch:
         for x, f in zip(self._pending, values):
             if f < self.best_f:
                 self.best_f = f
-                self.best_x = x.copy()
+                self._best_row = x
         self._pending = self._gen.send(values)
 
     def value_spread(self) -> float:
@@ -110,22 +121,46 @@ class SimplexSearch:
         return max(self._fs) - min(self._fs)
 
     # -- internals ---------------------------------------------------------
+    # No vertex list is changed in place once built, so pending rows and the
+    # best row can be shared without copies.
 
-    def _collides(self, x: np.ndarray) -> bool:
-        return bool((np.abs(self._verts - x).max(axis=1) < 1e-15).any())
+    def _collides(self, x: list[float]) -> bool:
+        first = x[0]  # rules out most vertices before the full test
+        for vertex in self._verts:
+            if abs(vertex[0] - first) < 1e-15 and all(abs(v - c) < 1e-15 for v, c in zip(vertex, x)):
+                return True
+        return False
 
     def _sort(self) -> None:
         order = sorted(range(len(self._fs)), key=self._fs.__getitem__)
-        self._verts = self._verts[order]
+        self._verts = [self._verts[i] for i in order]
         self._fs = [self._fs[i] for i in order]
 
+    def _is_degenerate(self) -> bool:
+        """Shape degeneracy: volume vanishing relative to the simplex's own
+        scale. A uniformly shrunk simplex is converging, not degenerate, so
+        the volume is normalized by the longest edge length before comparing
+        to the threshold."""
+        if len(self._verts) < 2:
+            return True
+        v0 = self._verts[0]
+        basis = [list(map(sub, vertex, v0)) for vertex in self._verts[1:]]
+        lengths = list(map(abs, chain.from_iterable(basis)))
+        if math.isnan(sum(lengths)):
+            return False  # ndarray.max gives a NaN scale, and no comparison with NaN holds
+        scale = max(lengths)
+        if scale == 0.0:
+            return True
+        m = len(basis)
+        volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
+        return volume / scale**m < DEGENERATE_VOLUME
+
     def _main(self):
-        self._verts = self._init_vertices.copy()
         self._fs = list((yield self._verts))
         while True:
             self._sort()
-            if _is_degenerate(self._verts):
-                self._verts = _axis_simplex(self._verts[0], REINIT_EDGE)
+            if self._is_degenerate():
+                self._verts = _axis_vertices(self._verts[0], REINIT_EDGE)
                 new_fs = yield self._verts[1:]
                 self._fs = [self._fs[0]] + list(new_fs)
                 self._sort()
@@ -133,14 +168,14 @@ class SimplexSearch:
             verts, fs = self._verts, self._fs
             worst = verts[-1]
             f_worst = fs[-1]
-            centroid = np.add.reduce(verts[:-1], axis=0) / (len(verts) - 1)  # np.mean's sum and divide
+            centroid = _centroid(verts[:-1])
 
-            xr = _clip(centroid + REFLECT * (centroid - worst))
-            fr = math.inf if self._collides(xr) else (yield xr[None, :])[0]
+            xr = _clipped([c + REFLECT * (c - w) for c, w in zip(centroid, worst)])
+            fr = math.inf if self._collides(xr) else (yield [xr])[0]
 
             if fr < fs[0]:
-                xe = _clip(centroid + EXPAND * (centroid - worst))
-                fe = math.inf if self._collides(xe) else (yield xe[None, :])[0]
+                xe = _clipped([c + EXPAND * (c - w) for c, w in zip(centroid, worst)])
+                fe = math.inf if self._collides(xe) else (yield [xe])[0]
                 if fe < fr:
                     verts[-1], fs[-1] = xe, fe
                 else:
@@ -149,18 +184,18 @@ class SimplexSearch:
                 verts[-1], fs[-1] = xr, fr
             else:
                 if fr < f_worst:  # outside contraction
-                    xc = _clip(centroid + CONTRACT * (xr - centroid))
-                    fc = math.inf if self._collides(xc) else (yield xc[None, :])[0]
+                    xc = _clipped([c + CONTRACT * (r - c) for c, r in zip(centroid, xr)])
+                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
                     accepted = fc <= fr
                 else:  # inside contraction
-                    xc = _clip(centroid - CONTRACT * (centroid - worst))
-                    fc = math.inf if self._collides(xc) else (yield xc[None, :])[0]
+                    xc = _clipped([c - CONTRACT * (c - w) for c, w in zip(centroid, worst)])
+                    fc = math.inf if self._collides(xc) else (yield [xc])[0]
                     accepted = fc < f_worst
                 if accepted:
                     verts[-1], fs[-1] = xc, fc
                 else:  # shrink toward the best vertex
                     best = verts[0]
-                    shrunk = _clip(best + SHRINK * (verts[1:] - best))
+                    shrunk = [_clipped([b + SHRINK * (v - b) for b, v in zip(best, vertex)]) for vertex in verts[1:]]
                     new_fs = yield shrunk
                     verts[1:] = shrunk
                     self._fs = [fs[0]] + list(new_fs)
@@ -190,12 +225,13 @@ def nm_minimize_many(
     per row. A search leaves the batch once it has run max_iters iterations or
     every vertex holds the same value, so each search takes the path it would
     take alone."""
-    searches = [SimplexSearch(np.asarray(x0, dtype=float), edge=edge) for x0 in starts]
+    searches = [SimplexSearch(x0, edge=edge) for x0 in starts]
     active = [i for i, s in enumerate(searches) if s.iterations < max_iters]
     while active:
-        pending = [searches[i].pending() for i in active]
-        owners = np.repeat(active, [len(p) for p in pending])
-        values = fn_rows(np.concatenate(pending), owners)
+        pending = [searches[i]._pending for i in active]
+        rows = np.array([row for points in pending for row in points])
+        owners = np.array([i for i, points in zip(active, pending) for _ in points])
+        values = np.asarray(fn_rows(rows, owners), dtype=float).tolist()
         offset = 0
         for i, points in zip(active, pending):
             searches[i].advance(values[offset : offset + len(points)])

@@ -21,13 +21,16 @@ from tunekit.space import ContinuousVariable, IntegerVariable, Point, SearchSpac
 from tunekit.trials import TrialRecord
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, timeout: float | None = None) -> str:
     """Stdout of a fresh interpreter running code, with the tunekit package
-    these tests import on its path; raises if it exits non-zero."""
+    these tests import on its path; raises if it exits non-zero or runs
+    longer than timeout seconds."""
     src = str(Path(tunekit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=timeout
+    ).stdout
 
 
 def strip_wall_time(history_csv: str) -> str:

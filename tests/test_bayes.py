@@ -20,6 +20,7 @@ from tunekit.cache import canonical_key
 from tunekit.manager import TuningManager
 from tunekit.objectives import BRANIN_MINIMUM, BRANIN_SPACE, BuiltinObjective
 from tunekit.sampling import SampleRequest, lhs_sample
+from tunekit.solvers import bayes
 from tunekit.solvers.bayes import (
     TRIL_LEAF,
     BayesConfig,
@@ -147,6 +148,27 @@ def test_far_field_reverts_to_prior():
     (mu,), (var,) = model.posterior_many(encode(space, Point([1000.0]))[None])  # ~1000 length scales away
     assert mu == pytest.approx(model.prior_mean, rel=0.01)
     assert var == pytest.approx(model.signal_var, rel=0.01)
+
+
+def test_gp_rejects_a_noise_variance_that_is_not_positive():
+    # the jitter starts at noise_var and grows tenfold per failed
+    # factorization, so from 0 it never grew: a singular kernel (two equal
+    # rows) with zero noise kept the fit looping, hence the child process
+    code = """
+import numpy as np
+from tunekit.solvers.bayes import GPModel
+from tunekit.space import ContinuousVariable, SearchSpace
+
+space = SearchSpace([ContinuousVariable("x", 0.0, 1.0)])
+for noise_var in (0.0, -1e-6, float("nan")):
+    try:
+        GPModel(space, np.array([[0.5], [0.5]]), np.array([0.0, 1.0]), 1.0, 1.0, noise_var)
+    except ValueError as exc:
+        print(exc)
+"""
+    assert run_python(code, timeout=30).splitlines() == [
+        f"noise_var must be positive, got {v}" for v in (0.0, -1e-6, "nan")
+    ]
 
 
 def test_two_point_symmetric_midpoint():
@@ -344,7 +366,7 @@ def test_believer_variances_match_dense_refit(space):
         points = lhs_sample(space, SampleRequest(64, seed))
         rows = np.stack([encode(space, p) for p in points])
         mean, var = model.posterior_many(rows)
-        believer = BelieverVariance(model, rows, var)
+        believer = BelieverVariance(model, rows, model.kernel_rows(rows), var)
         picks = [int(b) for b in rng.choice(len(rows), size=4, replace=False)]
         for j, b in enumerate(picks):
             believer.add(b)
@@ -354,6 +376,37 @@ def test_believer_variances_match_dense_refit(space):
             assert np.allclose(mean, dense_mean, rtol=1e-8, atol=1e-8 * model.signal_var), f"seed {seed}"
         assert np.all(believer.var <= var)
         assert np.all(believer.var[picks] <= 2 * model.jitter)
+
+
+def test_believer_given_proposes_kernel_rows_matches_one_given_fresh_rows(monkeypatch):
+    # propose computes the pool's kernel rows once, the refined rows' part
+    # after the refinement, and hands them to the believer; a believer given
+    # k(rows, X) computed afresh must condition to the same bits
+    records = random_records(UNIT5, 300, np.random.default_rng(21))
+    model = fit_gp(UNIT5, records)
+    made = []
+
+    class Recording(BelieverVariance):
+        def __init__(self, model, rows, k_rows, var):
+            super().__init__(model, rows, k_rows, var)
+            self.start = (rows.copy(), k_rows.copy(), var.copy())
+            self.steps = []
+            made.append(self)
+
+        def add(self, b):
+            super().add(b)
+            self.steps.append((b, self.var.copy()))
+
+    monkeypatch.setattr(bayes, "BelieverVariance", Recording)
+    got = propose(model, UNIT5, 5, 2.0, np.random.default_rng(22), {r.key for r in records}, restarts=3)
+    assert len(got) == 5 and len(made) == 1 and len(made[0].steps) == 4
+    rows, k_rows, var = made[0].start
+    assert len(model.train_x) == 300 and len(rows) == 256 + 3
+    fresh = BelieverVariance(model, rows, model._kernel(rows, model.train_x), var)
+    assert fresh._k_rows.tobytes() == k_rows.tobytes()
+    for b, var_after in made[0].steps:
+        fresh.add(b)
+        assert fresh.var.tobytes() == var_after.tobytes()
 
 
 def test_batch_spreads_where_a_static_ranking_crowds():
@@ -377,15 +430,20 @@ def test_propose_posterior_calls_follow_longest_simplex():
     records = random_records(BOX3, 25, np.random.default_rng(11))
     model = fit_gp(BOX3, records)
     rows_per_call: list[int] = []
-    posterior_many = model.posterior_many
+    kernel_rows_per_call: list[int] = []
+    posterior_of_kernel_rows, kernel_rows = model.posterior_of_kernel_rows, model.kernel_rows
 
-    def counting(query):
-        rows_per_call.append(len(query))
-        return posterior_many(query)
+    def counting(k_rows):
+        rows_per_call.append(len(k_rows))
+        return posterior_of_kernel_rows(k_rows)
 
-    model.posterior_many = counting
+    def counting_kernel(query):
+        kernel_rows_per_call.append(len(query))
+        return kernel_rows(query)
+
+    model.posterior_of_kernel_rows, model.kernel_rows = counting, counting_kernel
     propose(model, BOX3, 5, 2.0, np.random.default_rng(12), set(), restarts=3)
-    del model.posterior_many
+    del model.posterior_of_kernel_rows, model.kernel_rows
     _, steps = reference_propose(model, BOX3, 5, 2.0, np.random.default_rng(12), set(), 3)
     assert len(steps) == 3 and sum(steps) > max(steps)
     # the candidate set, one call per lockstep step, then the refined points;
@@ -393,6 +451,9 @@ def test_propose_posterior_calls_follow_longest_simplex():
     assert len(rows_per_call) == 2 + max(steps)
     assert rows_per_call[0] == 256
     assert rows_per_call[-1] == 3
+    # the first kernel call covers the candidates and the refined points'
+    # places, and the believer reuses those rows: no kernel call of its own
+    assert kernel_rows_per_call == [256 + 3] + rows_per_call[1:]
 
 
 # -- solver binding ---------------------------------------------------------------------

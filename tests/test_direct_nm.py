@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ListSimplexSearch, reference_nm_minimize
 from tunekit.cache import canonical_key
@@ -20,7 +22,7 @@ from tunekit.solvers.direct import (
     pareto_select,
     split_box,
 )
-from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, nm_minimize_many
+from tunekit.solvers.neldermead import NelderMeadSolver, SimplexSearch, _centroid, _clipped, nm_minimize_many
 from tunekit.space import CategoricalVariable, ContinuousVariable, Point, SearchSpace, encode
 from tunekit.trials import Budget, TrialRecord
 
@@ -301,6 +303,119 @@ def test_simplex_steps_match_the_list_based_oracle(fn, start, steps, events):
         assert (search.best_f, search.iterations) == (reference.best_f, reference.iterations)
         assert search.value_spread() == reference.value_spread()
     assert events <= set(reference.events)
+
+
+def _bits(x) -> bytes | None:
+    """The bytes of x as a float array, every NaN as one NaN: a NaN's sign
+    and payload depend on which instruction made it."""
+    if x is None:
+        return None
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
+_UNIT = st.floats(0.0, 1.0)
+# ties, both infinities and NaN among ordinary values
+_VALUE = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]), st.floats(-10.0, 10.0, allow_nan=False)
+)
+
+
+@st.composite
+def _simplex_start(draw):
+    d = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # now and then a start off the cube: NaN and infinite coordinates
+        coord = st.one_of(_UNIT, _UNIT, _UNIT, st.sampled_from([math.nan, math.inf, -math.inf]))
+        return {"x0": np.array(draw(st.lists(coord, min_size=d, max_size=d))), "edge": draw(st.floats(0.01, 1.0))}
+    # explicit vertices from a coarse grid, so duplicates and collisions occur
+    coord = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), _UNIT)
+    vertices = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=d + 1, max_size=d + 1))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, d), st.integers(0, d)), max_size=2)):
+        vertices[i] = vertices[j]
+    return {"vertices": [np.array(v) for v in vertices]}
+
+
+_SPECIAL = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.0, 0.0, 1.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.lists(st.lists(_SPECIAL, min_size=d, max_size=d), min_size=1, max_size=9)
+    )
+)
+def test_clip_and_centroid_repeat_the_numpy_expressions(rows):
+    # np.maximum(-0.0, 0.0) is 0.0, and np.add.reduce starts each sum from
+    # 0.0, so a column of -0.0 sums to 0.0
+    array = np.array(rows)
+    with np.errstate(invalid="ignore"):
+        assert _bits(_centroid(rows)) == _bits(np.add.reduce(array, axis=0) / len(rows))
+    for row, want in zip(rows, np.minimum(np.maximum(array, 0.0), 1.0)):
+        assert _bits(_clipped(row)) == _bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_simplex_start(), st.sampled_from(["draws", "constant", "bowl"]), st.data())
+def test_simplex_steps_match_the_list_based_oracle_on_random_draws(start, mode, data):
+    with np.errstate(invalid="ignore"):  # the oracle's arithmetic on infinite starts
+        _run_against_the_oracle(start, mode, data)
+
+
+def _run_against_the_oracle(start, mode, data):
+    search, reference = SimplexSearch(**start), ListSimplexSearch(**start)
+    target = np.full(len(search.pending()[0]), 0.3)
+    for _ in range(data.draw(st.integers(1, 40))):
+        pending = search.pending()
+        assert _bits(pending) == _bits(reference.pending())
+        if mode == "draws":
+            values = data.draw(st.lists(_VALUE, min_size=len(pending), max_size=len(pending)))
+        elif mode == "constant":
+            values = [3.0] * len(pending)
+        else:  # a bowl with rounded values, so it converges through ties
+            values = [round(float(np.sum((x - target) ** 2)), 3) for x in pending]
+        search.advance(values)
+        reference.advance(values)
+        assert _bits(search.best_x) == _bits(reference.best_x)
+        assert _bits(search.best_f) == _bits(reference.best_f)
+        assert search.iterations == reference.iterations
+        assert _bits(search.value_spread()) == _bits(reference.value_spread())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.lists(st.lists(_UNIT, min_size=d, max_size=d), min_size=1, max_size=5)
+    ),
+    st.integers(0, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_nm_minimize_many_stacks_match_each_start_run_alone(starts, max_iters, seed):
+    starts = np.array(starts)
+    targets = np.random.default_rng(seed).uniform(0.0, 1.0, starts.shape)
+
+    def value(owner: int, x: np.ndarray) -> float:
+        if owner % 3 == 2:
+            return 1.0  # flat: its simplex stops after the first iteration
+        f = round(float(np.sum((x - targets[owner]) ** 2)), 2 + owner)
+        return math.inf if x[0] > 0.95 else f
+
+    calls: list[int] = []
+
+    def fn_rows(rows: np.ndarray, owners: np.ndarray) -> list[float]:
+        calls.append(len(rows))
+        return [value(int(o), x) for o, x in zip(owners, rows)]
+
+    got = nm_minimize_many(fn_rows, starts, edge=0.1, max_iters=max_iters)
+    steps = []
+    for owner, (x, f, iters) in enumerate(got):
+        want_x, want_f, want_iters, n_steps = reference_nm_minimize(
+            lambda x: value(owner, x), starts[owner], 0.1, max_iters
+        )
+        steps.append(n_steps)
+        assert _bits(x) == _bits(want_x)
+        assert (_bits(f), iters) == (_bits(want_f), want_iters)
+    assert len(calls) == max(steps)
 
 
 # -- solvers through the manager -----------------------------------------------------------

@@ -20,6 +20,10 @@ is the history.csv that `tunekit tune` wrote for it at concurrency 1, with the
 - bayes-rosenbrock5: fc162c3, before the simplex engine moved to Python
   floats and each proposal pool's kernel rows were computed once; Bayes
   alone on a 5-d Rosenbrock box, 10 LHS points and 10 proposal batches of 5.
+- direct-nm-mixed: 9e76dd2, before the simplex search placed its own
+  coordinates into full encoded rows; DIRECT-NM alone (theta 0.5) on 2
+  continuous, 1 integer and 1 categorical channel, where one rectangle
+  refines for 41 steps with its integer and categorical channels frozen.
 
 Regenerate one, only for an intended change of behaviour, with
 

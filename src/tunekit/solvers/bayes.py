@@ -41,7 +41,7 @@ from ..manager import Solver, check_param
 from ..sampling import SampleRequest, lhs_design, lhs_encoded, lhs_points
 from ..space import Point, SearchSpace, decode, mixed_sqdist_matrix, snap_encoded
 from ..trials import TrialRecord
-from .neldermead import nm_minimize_many
+from .neldermead import SimplexSearch, nm_minimize_many
 
 JITTER_CEILING_FACTOR = 1e-2
 NOISE_FACTOR = 1e-6
@@ -253,15 +253,16 @@ def propose(
     """Up to m distinct unseen points under LCB, with their keys.
 
     The pool is a fresh LHS candidate set plus its `restarts` best candidates
-    refined by simplex searches on their continuous channels, run in
-    lockstep: each step snaps every pending point of every search as decode
-    then encode would and scores them all with one posterior call. The
-    refined points are scored with one more call. Picks follow the
-    (LCB, rank) order, rank being a candidate's place in the first LCB order
-    and the refined points ranking ahead of all candidates; after each pick
-    the pool's variances are conditioned on it as a believer fantasy, and
-    the LCB order is taken again. Pool points are keyed by their encoded
-    rows, and a Point is built only for a pick."""
+    refined by simplex searches, run in lockstep. Each search moves the
+    continuous channels of its candidate's encoded row and keeps the others;
+    each step snaps every pending row of every search as decode then encode
+    would and scores them all with one posterior call. The refined points are
+    scored with one more call. Picks follow the (LCB, rank) order, rank being
+    a candidate's place in the first LCB order and the refined points ranking
+    ahead of all candidates; after each pick the pool's variances are
+    conditioned on it as a believer fantasy, and the LCB order is taken
+    again. Pool points are keyed by their encoded rows, and a Point is built
+    only for a pick."""
     design = lhs_design(space, SampleRequest(CANDIDATE_COUNT, int(rng.integers(0, 2**63))))
     cont = space.continuous_indices
     n_design = len(design)
@@ -275,29 +276,21 @@ def propose(
     order = np.argsort(mean - kappa * np.sqrt(var), kind="stable")
     ranks = np.empty(len(order), dtype=int)
     ranks[order] = np.arange(len(order))
-    refined_coords = np.empty((0, len(space.variables)))
+    searches = [SimplexSearch(row, edge=0.1, channels=cont) for row in rows[order[:n_refined]]]
 
-    if n_refined:
-        templates = rows[order[:n_refined]]
+    if searches:
 
-        def refined_lcb(query: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            merged = templates[owners]
-            merged[:, cont] = query
-            mean, var = model.posterior_many(snap_encoded(space, merged))
+        def refined_lcb(query: np.ndarray) -> np.ndarray:
+            mean, var = model.posterior_many(snap_encoded(space, query))
             return mean - kappa * np.sqrt(var)
 
-        refined = nm_minimize_many(
-            refined_lcb, templates[:, cont], edge=0.1, max_iters=REFINE_MAX_ITERS
-        )
-        merged = templates.copy()
-        merged[:, cont] = [best_u for best_u, _, _ in refined]
-        rows[n_design:] = snap_encoded(space, merged)
+        nm_minimize_many(refined_lcb, searches, max_iters=REFINE_MAX_ITERS)
+        rows[n_design:] = snap_encoded(space, np.array([s.best_x for s in searches]))
         k_rows[n_design:] = model.kernel_rows(rows[n_design:])
         refined_mean, refined_var = model.posterior_of_kernel_rows(k_rows[n_design:])
         mean = np.concatenate([mean, refined_mean])
         var = np.concatenate([var, refined_var])
         ranks = np.concatenate([ranks, -restarts + np.arange(n_refined)])
-        refined_coords = merged
 
     believer = BelieverVariance(model, rows, k_rows, var) if m > 1 else None
     considered = np.zeros(len(rows), dtype=bool)
@@ -318,7 +311,7 @@ def propose(
         if i < len(design):
             point = lhs_points(space, design[i : i + 1])[0]
         else:
-            point = decode(space, refined_coords[i - len(design)])
+            point = decode(space, searches[i - len(design)].best_x)
         chosen.append((point, key))
         if len(chosen) < m:
             believer.add(i)

@@ -11,8 +11,9 @@ Each planning wave selects the rectangles that are nondominated under
 their longest side; the middle child inherits the parent's center value
 without re-evaluation. With a positive refinement threshold, a selected
 rectangle whose diameter falls below it stops being divided and instead runs
-its own simplex search seeded at the rectangle's center; the rectangle is then
-represented by the best value its refinement has found.
+its own simplex search seeded at the rectangle's center, over the continuous
+channels; the rectangle is then represented by its best_value, the lower of
+its center's value and the best value its refinement has found.
 
 Every point the solver needs is a `cache.Requests` request of its unit-cube
 geometry scaled to encoded coordinates. A split requests its two outer
@@ -34,7 +35,7 @@ from ..cache import Requests
 from ..manager import Solver, check_param
 from ..space import CategoricalVariable, Point, SearchSpace
 from ..trials import TrialRecord
-from .neldermead import SimplexSearch, simplex_rows
+from .neldermead import SimplexSearch
 
 ACTIVE = "active"
 REFINING = "refining"
@@ -95,7 +96,6 @@ class Rect:
     half_widths: tuple[float, ...]
     f_center: float = math.inf
     state: str = ACTIVE
-    best_value: float = math.inf
     refiner: SimplexSearch | None = None
     diameter: float = field(init=False)
 
@@ -103,8 +103,8 @@ class Rect:
         self.diameter = math.sqrt(sum(h * h for h in self.half_widths))
 
     @property
-    def representative(self) -> float:
-        return self.best_value if self.state == REFINING else self.f_center
+    def best_value(self) -> float:
+        return min(self.f_center, self.refiner.best_f) if self.state == REFINING else self.f_center
 
 
 class DirectSearch(Solver):
@@ -126,7 +126,7 @@ class DirectSearch(Solver):
         self._requests.request_all(np.asarray(geometries, dtype=float) * self._scale, done)
 
     def _add_rect(self, center: tuple, half_widths: tuple, value: float) -> None:
-        self._rects.append(Rect(center, half_widths, f_center=value, best_value=value))
+        self._rects.append(Rect(center, half_widths, f_center=value))
 
     # -- planning ------------------------------------------------------------
 
@@ -135,7 +135,7 @@ class DirectSearch(Solver):
         for rect in live:
             if rect.state == REFINING:
                 self._plan_refine_step(rect)
-        for idx in pareto_select([(r.diameter, r.representative) for r in live]):
+        for idx in pareto_select([(r.diameter, r.best_value) for r in live]):
             rect = live[idx]
             if rect.state != ACTIVE:
                 continue
@@ -155,21 +155,13 @@ class DirectSearch(Solver):
         self._request_all([children[0][0], children[2][0]], finish)
 
     def _start_refining(self, rect: Rect) -> None:
-        x0 = np.asarray(rect.center, dtype=float)[self._cont]
-        rect.refiner = SimplexSearch(x0, edge=rect.diameter)
+        rect.refiner = SimplexSearch(rect.center, edge=rect.diameter, channels=self._cont)
         rect.state = REFINING
-        rect.best_value = rect.f_center
         self._plan_refine_step(rect)
 
     def _plan_refine_step(self, rect: Rect) -> None:
-        refiner = rect.refiner
-        assert refiner is not None
-
-        def advance(values: list[float]) -> None:
-            refiner.advance(values)
-            rect.best_value = min(rect.best_value, refiner.best_f)
-
-        self._request_all(simplex_rows(np.asarray(rect.center, dtype=float), self._cont, refiner), advance)
+        assert rect.refiner is not None
+        self._request_all(rect.refiner.pending(), rect.refiner.advance)
 
     # -- solver contract ------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Variable-shape simplex search over the unit cube.
 
-SimplexSearch is a resumable state machine: pending() lists the points whose
-values are needed next, advance() feeds them back. That single implementation
-is driven by nm_minimize_many(), which runs several searches in lockstep with
-one batched call per step (Bayes refines its proposals with it), through the
-ask/tell contract by NelderMeadSolver, and per-rectangle by the DIRECT hybrid.
+SimplexSearch is a resumable state machine over some channels of a start row:
+pending() lists the full rows whose values are needed next, advance() feeds
+them back. That single implementation is driven by nm_minimize_many(), which
+runs several searches in lockstep with one batched call per step (Bayes
+refines its proposals with it), through the ask/tell contract by
+NelderMeadSolver, and per-rectangle by the DIRECT hybrid. Each of them moves
+the continuous channels of an encoded row.
 
 Candidates are clipped to [0, 1]^d before evaluation. A candidate that lands
 exactly on an existing vertex after clipping is not evaluated; it is treated
@@ -72,38 +74,60 @@ def _centroid(rows: list[list[float]]) -> list[float]:
 
 
 class SimplexSearch:
-    """The vertices are lists of Python floats (see the module docstring),
-    kept sorted by value, best first, with their values in a list of the same
+    """A simplex search that moves some channels of the start row x0 (default:
+    all of them). It starts from the axis simplex of the given edge around
+    x0's coordinates there, or from explicit vertices: d + 1 of d coordinates
+    for d channels, x0 defaulting to the first vertex. pending() is a
+    (k, len(x0)) array of the rows whose values are needed next, and
+    advance() takes their k values in row order. Each row, like best_x, is x0
+    with a point's coordinates in the channels and x0's bits elsewhere.
+
+    The vertices are lists of Python floats (see the module docstring), kept
+    sorted by value, best first, with their values in a list of the same
     order. `sorted` orders them, and it is stable: tied vertices keep their
     order, and a NaN value, which compares false with everything, lands where
-    the merge puts it. pending() is a (k, d) array, one row per point whose
-    value is needed next, and advance() takes their k values in row order."""
+    the merge puts it."""
 
     def __init__(
         self,
-        x0: np.ndarray | None = None,
+        x0: Sequence[float] | None = None,
         edge: float = 0.1,
-        vertices: Sequence[np.ndarray] | None = None,
+        vertices: Sequence[Sequence[float]] | None = None,
+        channels: Sequence[int] | None = None,
     ):
+        if x0 is None:
+            if vertices is None:
+                raise ValueError("need x0 or explicit vertices")
+            x0 = vertices[0]
+        self._row = np.asarray(x0, dtype=float).tolist()
+        self._channels = list(range(len(self._row))) if channels is None else [int(c) for c in channels]
+        d = len(self._channels)
         if vertices is not None:
             self._verts = [np.asarray(v, dtype=float).tolist() for v in vertices]
+            if len(self._verts) != d + 1 or any(len(v) != d for v in self._verts):
+                raise ValueError(f"need {d + 1} vertices of {d} coordinates")
         else:
-            if x0 is None:
-                raise ValueError("need x0 or explicit vertices")
-            self._verts = _axis_vertices(np.asarray(x0, dtype=float).tolist(), float(edge))
+            self._verts = _axis_vertices([self._row[c] for c in self._channels], float(edge))
         self.iterations = 0
         self.best_f = math.inf
-        self._best_row: list[float] | None = None
+        self._best: list[float] | None = None
         self._fs: list[float] = []
         self._gen = self._main()
         self._pending: list[list[float]] = next(self._gen)
 
+    def _placed(self, x: list[float]) -> list[float]:
+        """The start row with the coordinates x in the channels."""
+        row = list(self._row)
+        for c, v in zip(self._channels, x):
+            row[c] = v
+        return row
+
     @property
     def best_x(self) -> np.ndarray | None:
-        return None if self._best_row is None else np.array(self._best_row)
+        return None if self._best is None else np.array(self._placed(self._best))
 
     def pending(self) -> np.ndarray:
-        return np.array(self._pending)
+        return np.array([self._placed(x) for x in self._pending])
 
     def advance(self, values: Sequence[float]) -> None:
         if len(values) != len(self._pending):
@@ -112,7 +136,7 @@ class SimplexSearch:
         for x, f in zip(self._pending, values):
             if f < self.best_f:
                 self.best_f = f
-                self._best_row = x
+                self._best = x
         self._pending = self._gen.send(values)
 
     def value_spread(self) -> float:
@@ -121,8 +145,8 @@ class SimplexSearch:
         return max(self._fs) - min(self._fs)
 
     # -- internals ---------------------------------------------------------
-    # No vertex list is changed in place once built, so pending rows and the
-    # best row can be shared without copies.
+    # No vertex list is changed in place once built, so the pending points
+    # and the best point can be shared without copies.
 
     def _collides(self, x: list[float]) -> bool:
         first = x[0]  # rules out most vertices before the full test
@@ -152,6 +176,8 @@ class SimplexSearch:
         if scale == 0.0:
             return True
         m = len(basis)
+        if scale**m == 0.0:  # the power underflows: measure the basis in units of its scale
+            basis, scale = np.divide(basis, scale), 1.0
         volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
         return volume / scale**m < DEGENERATE_VOLUME
 
@@ -201,48 +227,32 @@ class SimplexSearch:
                     self._fs = [fs[0]] + list(new_fs)
 
 
-def simplex_rows(template: np.ndarray, channels: Sequence[int], search: SimplexSearch) -> np.ndarray:
-    """The template row once per pending point of the search, with the
-    point's coordinates placed in the given channels."""
-    pending = search.pending()
-    rows = np.repeat(template[None, :], len(pending), axis=0)
-    rows[:, channels] = pending
-    return rows
-
-
 def nm_minimize_many(
-    fn_rows: Callable[[np.ndarray, np.ndarray], Sequence[float]],
-    starts: Sequence[np.ndarray],
-    edge: float = 0.1,
+    fn_rows: Callable[[np.ndarray], Sequence[float]],
+    searches: Sequence[SimplexSearch],
     max_iters: int = 200,
-) -> list[tuple[np.ndarray, float, int]]:
-    """Drive one SimplexSearch per start in lockstep; returns (best_x, best_f,
-    iterations) per start.
+) -> None:
+    """Step the searches in lockstep; each one's result is its best_x,
+    best_f and iterations.
 
-    Each step stacks the pending points of every active search into one array
-    and makes a single fn_rows(rows, owners) call, where owners[i] is the
-    index of the start whose search asked for rows[i]; it returns one value
-    per row. A search leaves the batch once it has run max_iters iterations or
-    every vertex holds the same value, so each search takes the path it would
-    take alone."""
-    searches = [SimplexSearch(x0, edge=edge) for x0 in starts]
-    active = [i for i, s in enumerate(searches) if s.iterations < max_iters]
+    Each step stacks the pending rows of every active search into one array
+    and makes a single fn_rows(rows) call, which returns one value per row. A
+    search leaves the batch once it has run max_iters iterations or every
+    vertex holds the same value, so each search takes the path it would take
+    alone."""
+
+    def running(search: SimplexSearch) -> bool:
+        return search.iterations < max_iters and not (search.iterations > 0 and search.value_spread() <= 0.0)
+
+    active = [s for s in searches if running(s)]
     while active:
-        pending = [searches[i]._pending for i in active]
-        rows = np.array([row for points in pending for row in points])
-        owners = np.array([i for i, points in zip(active, pending) for _ in points])
-        values = np.asarray(fn_rows(rows, owners), dtype=float).tolist()
+        pending = [s.pending() for s in active]
+        values = np.asarray(fn_rows(np.concatenate(pending)), dtype=float).tolist()
         offset = 0
-        for i, points in zip(active, pending):
-            searches[i].advance(values[offset : offset + len(points)])
-            offset += len(points)
-        active = [
-            i
-            for i in active
-            if searches[i].iterations < max_iters
-            and not (searches[i].iterations > 0 and searches[i].value_spread() <= 0.0)
-        ]
-    return [(s.best_x, s.best_f, s.iterations) for s in searches]
+        for search, rows in zip(active, pending):
+            search.advance(values[offset : offset + len(rows)])
+            offset += len(rows)
+        active = [s for s in active if running(s)]
 
 
 class NelderMeadSolver(Solver):
@@ -261,19 +271,18 @@ class NelderMeadSolver(Solver):
         check_param("edge", edge, integer=False, minimum=0, strict=True)
         if max_iters is not None:
             check_param("max_iters", max_iters, integer=True, minimum=0)
-        self._cont = space.continuous_indices
-        if not self._cont:
+        cont = space.continuous_indices
+        if not cont:
             raise ValueError("Nelder-Mead needs at least one continuous variable")
         self._max_iters = max_iters
         rng = np.random.default_rng(seed)
         start = lhs_design(space, SampleRequest(1, int(rng.integers(0, 2**63))))
-        self._template = lhs_encoded(space, start)[0]
-        self._search = SimplexSearch(self._template[self._cont], edge=edge)
+        self._search = SimplexSearch(lhs_encoded(space, start)[0], edge=edge, channels=cont)
         self._requests = Requests(space)
 
     def ask(self, max_points: int) -> list[Point]:
         if self._requests.idle():
-            self._requests.request_all(simplex_rows(self._template, self._cont, self._search), self._search.advance)
+            self._requests.request_all(self._search.pending(), self._search.advance)
         return self._requests.serve(max_points)
 
     def tell(self, records: Sequence[TrialRecord]) -> None:

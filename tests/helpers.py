@@ -145,6 +145,8 @@ def _list_is_degenerate(vertices: list[np.ndarray]) -> bool:
     if scale == 0.0:
         return True
     m = len(basis)
+    if scale**m == 0.0:
+        basis, scale = basis / scale, 1.0
     volume = abs(float(np.linalg.det(basis))) / math.factorial(m)
     return volume / scale**m < DEGENERATE_VOLUME
 

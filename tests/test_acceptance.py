@@ -39,7 +39,7 @@ from tunekit.solvers import make_solver
 from tunekit.solvers.bayes import BayesSearch, fit_gp
 from tunekit.solvers.direct import DirectSearch, longest_axis, split_box
 from tunekit.solvers.hybrid import HybridConfig, HybridSearch
-from tunekit.solvers.neldermead import nm_minimize_many
+from tunekit.solvers.neldermead import SimplexSearch, nm_minimize_many
 from tunekit.solvers.samplers import RandomSearch
 from tunekit.space import (
     CategoricalVariable,
@@ -285,11 +285,12 @@ def test_criterion_09_nelder_mead_quadratics():
             a = q @ np.diag(rng.uniform(0.5, 3.0, d)) @ q.T
             target = rng.uniform(0.2, 0.8, d)
 
-            def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+            def fn_rows(rows: np.ndarray) -> list[float]:
                 return [float(delta @ a @ delta) for delta in rows - target]
 
-            [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.full(d, 0.5)], edge=0.2, max_iters=500)
-            assert best_f <= 1e-6 and iters <= 500, seed
+            search = SimplexSearch(np.full(d, 0.5), edge=0.2)
+            nm_minimize_many(fn_rows, [search], max_iters=500)
+            assert search.best_f <= 1e-6 and search.iterations <= 500, seed
 
 
 def test_criterion_10_gp_oracle_equivalence():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -203,12 +204,13 @@ def test_nm_monotone_descent_on_linear():
 def test_nm_converges_on_shifted_sphere():
     target = np.array([0.5, 0.5])
 
-    def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+    def fn_rows(rows: np.ndarray) -> list[float]:
         return [float(np.sum((x - target) ** 2)) for x in rows]
 
-    [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.array([0.2, 0.8])], edge=0.1, max_iters=200)
-    assert best_f <= 1e-6
-    assert iters <= 200
+    search = SimplexSearch(np.array([0.2, 0.8]), edge=0.1)
+    nm_minimize_many(fn_rows, [search], max_iters=200)
+    assert search.best_f <= 1e-6
+    assert search.iterations <= 200
 
 
 def test_nm_quadratic_convergence_across_seeds():
@@ -221,11 +223,12 @@ def test_nm_quadratic_convergence_across_seeds():
         a = q @ np.diag(eigs) @ q.T
         target = rng.uniform(0.2, 0.8, d)
 
-        def fn_rows(rows: np.ndarray, _owners) -> list[float]:
+        def fn_rows(rows: np.ndarray) -> list[float]:
             return [float(delta @ a @ delta) for delta in rows - target]
 
-        [(_, best_f, iters)] = nm_minimize_many(fn_rows, [np.full(d, 0.5)], edge=0.2, max_iters=500)
-        if best_f <= 1e-6 and iters <= 500:
+        search = SimplexSearch(np.full(d, 0.5), edge=0.2)
+        nm_minimize_many(fn_rows, [search], max_iters=500)
+        if search.best_f <= 1e-6 and search.iterations <= 500:
             hits += 1
     assert hits == 10
 
@@ -243,19 +246,24 @@ def test_nm_minimize_many_matches_each_start_run_alone():
     for max_iters in (0, 1, 7, 60):
         calls: list[int] = []
 
-        def fn_rows(rows: np.ndarray, owners: np.ndarray) -> list[float]:
+        def fn_rows(rows: np.ndarray) -> list[float]:
             calls.append(len(rows))
-            return [value(int(o), x) for o, x in zip(owners, rows)]
+            return [value(int(row[-1]), row[:-1]) for row in rows]
 
-        got = nm_minimize_many(fn_rows, starts, edge=0.1, max_iters=max_iters)
+        # each search's frozen last channel holds its owner's index
+        searches = [
+            SimplexSearch(np.append(x0, owner), edge=0.1, channels=range(3)) for owner, x0 in enumerate(starts)
+        ]
+        nm_minimize_many(fn_rows, searches, max_iters=max_iters)
         steps = []
-        for owner, (x, f, iters) in enumerate(got):
+        for owner, search in enumerate(searches):
             want_x, want_f, want_iters, n_steps = reference_nm_minimize(
                 lambda x: value(owner, x), starts[owner], 0.1, max_iters
             )
             steps.append(n_steps)
-            assert (x is None and want_x is None) or np.array_equal(x, want_x)
-            assert (f, iters) == (want_f, want_iters)
+            x = search.best_x
+            assert (x is None and want_x is None) or (np.array_equal(x[:-1], want_x) and x[-1] == owner)
+            assert (search.best_f, search.iterations) == (want_f, want_iters)
         assert len(calls) == max(steps)
 
 
@@ -289,8 +297,11 @@ def _rugged(x: np.ndarray) -> float:
         (_sphere, {"x0": np.array([0.5, 0.5]), "edge": 0.1}, 200, {"collision", "shrink"}),
         (_sphere, {"vertices": [[0.5, 0.5], [0.5, 0.5], [0.6, 0.5]]}, 50, {"reinit"}),
         (_rugged, {"x0": np.array([0.5, 0.5, 0.5]), "edge": 0.3}, 200, {"shrink"}),
+        # edges so short that the scale's square underflows to 0.0
+        (_sphere, {"vertices": [[0.0, 0.0], [0.0, 0.0], [0.0, 2.2250738585072014e-309]]}, 30, {"reinit"}),
+        (_sphere, {"vertices": [[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200]]}, 30, {"collision", "shrink"}),
     ],
-    ids=["wall-collision", "shrink", "degenerate", "rugged-3d"],
+    ids=["wall-collision", "shrink", "degenerate", "rugged-3d", "subnormal-edge", "tiny-simplex"],
 )
 def test_simplex_steps_match_the_list_based_oracle(fn, start, steps, events):
     search, reference = SimplexSearch(**start), ListSimplexSearch(**start)
@@ -355,27 +366,78 @@ def test_clip_and_centroid_repeat_the_numpy_expressions(rows):
         assert _bits(_clipped(row)) == _bits(want)
 
 
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# values a frozen channel must keep bit for bit: both zeros, NaNs of either
+# sign, with a payload and signalling, and both infinities
+_FROZEN = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, math.nan, -math.nan, _float_of_bits(0x7FF8000000000001), _float_of_bits(0x7FF0000000000001)]
+        + [math.inf, -math.inf]
+    ),
+    st.floats(allow_nan=False),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_simplex_start(), st.sampled_from(["draws", "constant", "bowl"]), st.data())
 def test_simplex_steps_match_the_list_based_oracle_on_random_draws(start, mode, data):
-    search, reference = SimplexSearch(**start), ListSimplexSearch(**start)
-    target = np.full(len(search.pending()[0]), 0.3)
+    # the search moves a drawn subset of a wider row's channels, in a drawn
+    # order; the oracle runs on those coordinates alone
+    reference = ListSimplexSearch(**start)
+    d = len(reference.pending()[0])
+    frozen_values = data.draw(st.lists(_FROZEN, max_size=4))
+    width = d + len(frozen_values)
+    channels = data.draw(st.permutations(range(width)))[:d]
+    frozen = [c for c in range(width) if c not in channels]
+    row = np.full(width, 0.5)
+    row[frozen] = frozen_values
+    if "x0" in start:
+        row[channels] = start["x0"]
+        search = SimplexSearch(row, edge=start["edge"], channels=channels)
+    else:
+        search = SimplexSearch(row, vertices=start["vertices"], channels=channels)
+    frozen_bits = row[frozen].tobytes()
+    target = np.full(d, 0.3)
     for _ in range(data.draw(st.integers(1, 40))):
         pending = search.pending()
-        assert _bits(pending) == _bits(reference.pending())
+        assert pending.shape == (len(reference.pending()), width)
+        assert _bits(pending[:, channels]) == _bits(reference.pending())
+        assert all(r[frozen].tobytes() == frozen_bits for r in pending)
         if mode == "draws":
             values = data.draw(st.lists(_VALUE, min_size=len(pending), max_size=len(pending)))
         elif mode == "constant":
             values = [3.0] * len(pending)
         else:  # a bowl with rounded values, so it converges through ties
-            values = [round(float(np.sum((x - target) ** 2)), 3) for x in pending]
+            values = [round(float(np.sum((x - target) ** 2)), 3) for x in pending[:, channels]]
         with np.errstate(invalid="ignore"):  # numpy's arithmetic on infinite starts
             search.advance(values)
             reference.advance(values)
-        assert _bits(search.best_x) == _bits(reference.best_x)
+        best_x = search.best_x
+        assert (best_x is None) == (reference.best_x is None)
+        if best_x is not None:
+            assert _bits(best_x[channels]) == _bits(reference.best_x)
+            assert best_x[frozen].tobytes() == frozen_bits
         assert _bits(search.best_f) == _bits(reference.best_f)
         assert search.iterations == reference.iterations
         assert _bits(search.value_spread()) == _bits(reference.value_spread())
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        {"vertices": [[0.0, 0.0], [1.0, 0.0]]},  # too few
+        {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},  # too many
+        {"vertices": [[0.0, 0.0], [1.0], [0.0, 1.0]]},  # a short vertex
+        {"x0": [0.5, 0.5, 0.5], "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "channels": [1]},
+    ],
+    ids=["too-few", "too-many", "ragged", "wider-than-channels"],
+)
+def test_simplex_that_is_not_d_plus_one_vertices_of_d_coordinates_is_refused(start):
+    with pytest.raises(ValueError):
+        SimplexSearch(**start)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,19 +460,26 @@ def test_nm_minimize_many_stacks_match_each_start_run_alone(starts, max_iters, s
 
     calls: list[int] = []
 
-    def fn_rows(rows: np.ndarray, owners: np.ndarray) -> list[float]:
+    def fn_rows(rows: np.ndarray) -> list[float]:
         calls.append(len(rows))
-        return [value(int(o), x) for o, x in zip(owners, rows)]
+        return [value(int(row[-1]), row[:-1]) for row in rows]
 
-    got = nm_minimize_many(fn_rows, starts, edge=0.1, max_iters=max_iters)
+    # each search's frozen last channel holds its owner's index
+    d = starts.shape[1]
+    searches = [
+        SimplexSearch(np.append(x0, owner), edge=0.1, channels=range(d)) for owner, x0 in enumerate(starts)
+    ]
+    nm_minimize_many(fn_rows, searches, max_iters=max_iters)
     steps = []
-    for owner, (x, f, iters) in enumerate(got):
+    for owner, search in enumerate(searches):
         want_x, want_f, want_iters, n_steps = reference_nm_minimize(
             lambda x: value(owner, x), starts[owner], 0.1, max_iters
         )
         steps.append(n_steps)
-        assert _bits(x) == _bits(want_x)
-        assert (_bits(f), iters) == (_bits(want_f), want_iters)
+        x = search.best_x
+        assert _bits(None if x is None else x[:-1]) == _bits(want_x)
+        assert x is None or x[-1] == owner
+        assert (_bits(search.best_f), search.iterations) == (_bits(want_f), want_iters)
     assert len(calls) == max(steps)
 
 

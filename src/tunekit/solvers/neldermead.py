@@ -65,7 +65,12 @@ def _axis_vertices(x0: list[float], edge: float) -> list[list[float]]:
 
 def _centroid(rows: list[list[float]]) -> list[float]:
     """The mean of the rows as np.mean(rows, axis=0) takes it: each coordinate
-    summed from 0.0 in row order, then divided by the row count."""
+    summed from 0.0 in row order, then divided by the row count. numpy sums
+    a single column of 8 or more rows pairwise, since it is contiguous, so
+    that case is left to numpy; no simplex has it (one coordinate, two
+    vertices)."""
+    if len(rows) >= 8 and len(rows[0]) == 1:
+        return [float(np.add.reduce(np.array(rows), axis=0)[0]) / len(rows)]
     total = [0.0] * len(rows[0])
     for row in rows:
         total = list(map(add, total, row))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ListSimplexSearch, reference_nm_minimize
@@ -356,6 +356,7 @@ _SPECIAL = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.0, 0.0, 1.0, math
         lambda d: st.lists(st.lists(_SPECIAL, min_size=d, max_size=d), min_size=1, max_size=9)
     )
 )
+@example(rows=[[0.0], [0.0], [0.0], [1.0], [-1.0], [-1.5985013874526055], [0.0], [0.0]])  # one column, summed pairwise
 def test_clip_and_centroid_repeat_the_numpy_expressions(rows):
     # np.maximum(-0.0, 0.0) is 0.0, and np.add.reduce starts each sum from
     # 0.0, so a column of -0.0 sums to 0.0

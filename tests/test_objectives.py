@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tunekit.objectives.knn as knn_module
 from helpers import scalar_knn_error_rate, stable_nearest
@@ -319,12 +321,13 @@ def test_knn_objective_reuses_neighbour_lists_exactly(monkeypatch, kind):
     expected = {p.values: scalar_knn_error_rate(train, validation, *p.values) for p in points}
     monkeypatch.setattr(knn_module, "BLOCK_BYTES", 7 * 8 * len(train))  # a miss spans several 7-row blocks
     rows_by_power = Counter()
+    search = _Scorer._nearest_block
 
-    def counted_distances(a, b, power, plane=None):
-        rows_by_power[power] += len(a)
-        return minkowski_distances(a, b, power, plane)
+    def counted_block(self, lo, hi, width, power, step):
+        rows_by_power[power] += hi - lo
+        return search(self, lo, hi, width, power, step)
 
-    monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    monkeypatch.setattr(_Scorer, "_nearest_block", counted_block)
     once = len(validation)  # rows of one computation of a power's neighbour lists
     for order in (points, points[::-1]):
         objective = _knn_objective(kind)
@@ -372,12 +375,13 @@ def test_blocked_neighbour_lists_equal_the_whole_matrix(monkeypatch, rows, featu
         train, validation = _random_split(rng, 30, n_val, features)
     monkeypatch.setattr(knn_module, "BLOCK_BYTES", rows * 8 * len(train))
     blocks = []
+    search = _Scorer._nearest_block
 
-    def counted_distances(a, b, power, plane=None):
-        blocks.append(len(a))
-        return minkowski_distances(a, b, power, plane)
+    def counted_block(self, lo, hi, width, power, step):
+        blocks.append(hi - lo)
+        return search(self, lo, hi, width, power, step)
 
-    monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    monkeypatch.setattr(_Scorer, "_nearest_block", counted_block)
     k_cap = 5
     scorer = _Scorer(train, validation, k_cap)
     for power in (0.5, 2.0, 3.7):
@@ -395,6 +399,124 @@ def test_blocked_neighbour_lists_equal_the_whole_matrix(monkeypatch, rows, featu
                 assert scorer.error_rate(k, weight, power) == expected
 
 
+def _screen_split(rng, kind: str, n_train: int, n_val: int, features: int) -> tuple[Dataset, Dataset]:
+    """Train and validation rows on the integer grid {0, 1, 2}; standard
+    normal; standard normal offset by 1e4 or scaled by 1e-6; or, for
+    "shell", training rows at distance 1 + 1e-9 N(0, 1) from validation rows
+    within 1e-12 of the origin, closer together than float32 can tell."""
+
+    def rows(n: int, validation: bool) -> np.ndarray:
+        if kind == "grid":
+            return rng.integers(0, 3, (n, features)).astype(float)
+        x = rng.standard_normal((n, features))
+        if kind == "shell":
+            if validation:
+                return x * 1e-12
+            return x / np.linalg.norm(x, axis=1, keepdims=True) * (1 + 1e-9 * rng.standard_normal((n, 1)))
+        return x + 1e4 if kind == "offset" else x * 1e-6 if kind == "tiny" else x
+
+    return tuple(
+        Dataset(rows(n, validation), list(rng.choice(["a", "b", "c"], n)), [""] * features)
+        for n, validation in ((n_train, False), (n_val, True))
+    )
+
+
+def _search_block(scorer: _Scorer, width: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """The screened search of all validation rows as one block."""
+    return scorer._nearest_block(0, len(scorer.val_x), width, power, len(scorer.val_x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "normal", "offset", "tiny", "shell"]),
+    features=st.sampled_from([1, 6, 9, 17, 130]),
+    power=st.sampled_from([0.5, 1.0, 2.0, 3.7]) | st.floats(0.3, 6.0),
+    n_train=st.integers(1, 60),
+    n_val=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_screened_block_search_equals_the_whole_matrix(kind, features, power, n_train, n_val, seed, data):
+    rng = np.random.default_rng(seed)
+    train, validation = _screen_split(rng, kind, n_train, n_val, features)
+    columns = st.integers(1, min(n_train, 12)) | st.integers(1, n_train)  # often few enough to screen
+    k = data.draw(columns, label="k")
+    k_cap = data.draw(columns, label="k_cap")  # k > k_cap computes max(k, k_cap) columns
+    width = max(k, k_cap)
+    scorer = _Scorer(train, validation, k_cap)
+    cols, near = _search_block(scorer, width, power)
+    expected_cols, expected_near = _nearest(minkowski_distances(validation.features, train.features, power), width)
+    assert np.array_equal(cols, expected_cols)
+    assert near.tobytes() == expected_near.tobytes()
+    labels, kept_near = scorer._neighbours(k, power)
+    assert np.array_equal(labels, scorer.train_y[expected_cols]) and kept_near.tobytes() == expected_near.tobytes()
+
+
+def _counting_exact_rows(monkeypatch) -> list[int]:
+    """Rows of every exact whole-row distance computation from now on."""
+    rows = []
+
+    def counted_distances(a, b, power, plane=None):
+        rows.append(len(a))
+        return minkowski_distances(a, b, power, plane)
+
+    monkeypatch.setattr(knn_module, "minkowski_distances", counted_distances)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["normal", "offset", "tiny"])
+@pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.7])
+def test_the_screen_settles_every_row_of_continuous_data(monkeypatch, kind, power):
+    rng = np.random.default_rng(53)
+    train, validation = _screen_split(rng, kind, 200, 40, 6)
+    exact_rows = _counting_exact_rows(monkeypatch)
+    cols, near = _search_block(_Scorer(train, validation, 10), 10, power)
+    assert exact_rows == []  # no row needed the exact path
+    expected_cols, expected_near = _nearest(minkowski_distances(validation.features, train.features, power), 10)
+    assert np.array_equal(cols, expected_cols) and np.array_equal(near, expected_near)
+
+
+def test_a_screen_that_overflows_float32_takes_the_exact_path(monkeypatch):
+    rng = np.random.default_rng(59)
+    train, validation = (Dataset(rng.uniform(0, 10, (n, 3)), ["a"] * n, [""] * 3) for n in (60, 20))
+    scorer = _Scorer(train, validation, 5)
+    exact_rows = _counting_exact_rows(monkeypatch)
+    cols, near = _search_block(scorer, 5, 60.0)  # differences above 4.4 overflow float32 at power 60
+    assert np.isinf(scorer._local.planes[0]).any(axis=1).all()
+    assert exact_rows == [len(validation)]
+    expected_cols, expected_near = _nearest(minkowski_distances(validation.features, train.features, 60.0), 5)
+    assert np.array_equal(cols, expected_cols) and np.array_equal(near, expected_near)
+    assert np.isfinite(near).all()
+
+
+def test_a_row_with_more_ties_than_candidates_takes_the_exact_path(monkeypatch):
+    rng = np.random.default_rng(61)
+    k = 5
+    copies = np.ones((3 * (k + knn_module.SCREEN_EXTRA), 2))  # one point, tied far beyond the candidates
+    distinct = 20.0 + rng.standard_normal((30, 2))
+    train_x = rng.permutation(np.vstack([copies, distinct]))
+    train = Dataset(train_x, ["a"] * len(train_x), [""] * 2)
+    validation = Dataset(np.array([[0.0, 0.0], [20.0, 20.0]]), ["a", "a"], [""] * 2)  # tied, then settled
+    exact_rows = _counting_exact_rows(monkeypatch)
+    cols, near = _search_block(_Scorer(train, validation, k), k, 2.0)
+    assert exact_rows == [1]  # only the tied row
+    expected_cols, expected_near = _nearest(minkowski_distances(validation.features, train.features, 2.0), k)
+    assert np.array_equal(cols, expected_cols) and np.array_equal(near, expected_near)
+    assert list(cols[0]) == list(np.flatnonzero((train_x == 1.0).all(axis=1))[:k])  # the earliest copies
+
+
+def test_rows_whose_neighbours_the_screen_cannot_order_take_the_exact_path(monkeypatch):
+    exact_rows = _counting_exact_rows(monkeypatch)
+    power = 2.0  # Euclidean: the shell's rows are all about 1 from each validation row
+    for seed in range(10):
+        train, validation = _screen_split(np.random.default_rng(seed), "shell", 60, 3, 3)
+        exact_rows.clear()
+        cols, near = _search_block(_Scorer(train, validation, 5), 5, power)
+        assert exact_rows == [len(validation)]  # every training row lies within the screen's error of the 5th
+        expected_cols, expected_near = _nearest(minkowski_distances(validation.features, train.features, power), 5)
+        assert np.array_equal(cols, expected_cols) and np.array_equal(near, expected_near)
+
+
 def test_a_neighbour_list_miss_works_in_bounded_memory():
     train, validation = _random_split(np.random.default_rng(41), 3000, 2000, 4)
     scorer = _Scorer(train, validation, 5)
@@ -408,19 +530,22 @@ def test_a_neighbour_list_miss_works_in_bounded_memory():
 
 
 def test_each_thread_reuses_its_own_block_planes():
-    train, validation = _random_split(np.random.default_rng(43), 300, 200, 4)
-    scorer = _Scorer(train, validation, 5)
+    for features, n_val in ((4, 200), (9, 40), (130, 40)):  # both _pairwise_sum regimes of the exact distances
+        train, validation = _random_split(np.random.default_rng(43), 300, n_val, features)
+        scorer = _Scorer(train, validation, 5)
 
-    def miss(power: float) -> list[int]:
-        assert scorer.error_rate(5, "uniform", power) == scalar_knn_error_rate(train, validation, 5, "uniform", power)
-        return [id(plane) for plane in scorer._local.planes]
+        def miss(power: float) -> list[int]:
+            expected = scalar_knn_error_rate(train, validation, 5, "uniform", power)
+            assert scorer.error_rate(5, "uniform", power) == expected
+            assert all(plane.dtype == np.float32 for plane in scorer._local.planes)
+            return [id(plane) for plane in scorer._local.planes]
 
-    first = miss(1.5)
-    assert len(first) == 2  # a sum and a term plane below 8 features
-    assert miss(2.5) == first  # the next miss on this thread works in the same planes
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        other = pool.submit(miss, 3.5).result(timeout=60)
-    assert len(other) == 2 and not set(other) & set(first)
+        first = miss(1.5)
+        assert len(first) == 2  # a sum and a term plane of the float32 screen, at any feature count
+        assert miss(2.5) == first  # the next miss on this thread works in the same planes
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(miss, 3.5).result(timeout=60)
+        assert len(other) == 2 and not set(other) & set(first)
 
 
 def test_knn_objective_shared_by_threads_matches_serial():
